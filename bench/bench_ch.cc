@@ -1,5 +1,5 @@
-// Substrate bench: Contraction Hierarchies vs plain Dijkstra and the
-// ALT router on a city network — preprocessing cost, shortcut count,
+// Substrate bench: Contraction Hierarchies vs plain Dijkstra on a city
+// network — preprocessing cost, shortcut count,
 // per-query settled nodes, and many-to-many distance-table throughput
 // (the access pattern behind dense-matrix construction for the exact
 // solver and the greedy k-median baseline).
@@ -8,7 +8,6 @@
 
 #include "bench/bench_util.h"
 #include "mcfs/common/timer.h"
-#include "mcfs/graph/alt_router.h"
 #include "mcfs/graph/contraction_hierarchy.h"
 #include "mcfs/graph/dijkstra.h"
 #include "mcfs/graph/road_network.h"
@@ -18,7 +17,7 @@ int main(int argc, char** argv) {
   using namespace mcfs;
   const Flags flags(argc, argv);
   const auto bench = bench_util::BenchConfig::FromFlags(flags, 0.05);
-  bench_util::Banner("Substrate: CH vs ALT vs Dijkstra point-to-point",
+  bench_util::Banner("Substrate: CH vs Dijkstra point-to-point",
                      bench);
 
   const Graph city = GenerateCity(AalborgPreset(bench.scale, bench.seed));
@@ -30,11 +29,7 @@ int main(int argc, char** argv) {
   const ContractionHierarchy ch(&city);
   ch_prep_timer.Stop();
 
-  double alt_prep = 0.0;
-  ScopedTimer alt_prep_timer(&alt_prep, "bench/alt_preprocess_seconds");
   Rng rng(bench.seed + 1);
-  AltRouter alt(&city, 8, rng);
-  alt_prep_timer.Stop();
 
   const int queries = 200;
   std::vector<std::pair<NodeId, NodeId>> pairs;
@@ -67,32 +62,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  double alt_seconds = 0.0;
-  double checksum_alt = 0.0;
-  int64_t alt_settled = 0;
-  {
-    ScopedTimer t(&alt_seconds, "bench/alt_query_seconds");
-    for (const auto& [s, t_node] : pairs) {
-      const double d = alt.Distance(s, t_node);
-      if (d != kInfDistance) checksum_alt += d;
-      alt_settled += alt.last_settled_count();
-    }
-  }
-
   MCFS_CHECK(std::abs(checksum_ch - checksum_dijkstra) <
              1e-6 * (1.0 + checksum_dijkstra))
       << "CH distances diverge from Dijkstra";
-  MCFS_CHECK(std::abs(checksum_alt - checksum_dijkstra) <
-             1e-6 * (1.0 + checksum_dijkstra))
-      << "ALT distances diverge from Dijkstra";
 
   Table table({"method", "preprocessing", "200 queries",
                "avg settled/query", "exact"});
   table.AddRow({"Dijkstra", "-", FmtSeconds(dijkstra_seconds),
                 FmtInt(city.NumNodes()), "yes"});
-  table.AddRow({"ALT (8 landmarks)", FmtSeconds(alt_prep),
-                FmtSeconds(alt_seconds), FmtInt(alt_settled / queries),
-                "yes"});
   table.AddRow({"CH", FmtSeconds(ch_prep), FmtSeconds(ch_seconds),
                 FmtInt(ch_settled / queries), "yes"});
   table.Print();

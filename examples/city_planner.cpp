@@ -20,7 +20,6 @@
 #include "mcfs/baselines/greedy_kmedian.h"
 #include "mcfs/core/wma.h"
 #include "mcfs/exact/bb_solver.h"
-#include "mcfs/graph/alt_router.h"
 #include "mcfs/graph/graph_io.h"
 #include "mcfs/graph/road_network.h"
 #include "mcfs/workload/workload.h"
@@ -67,19 +66,6 @@ int main(int argc, char** argv) {
   const std::string save_path = flags.GetString("save", "");
   if (!save_path.empty() && SaveGraph(city, save_path)) {
     std::printf("saved network to %s\n", save_path.c_str());
-  }
-
-  // Optional point-to-point routing demo (ALT landmarks).
-  if (flags.Has("route_from") && flags.Has("route_to")) {
-    const NodeId from = static_cast<NodeId>(flags.GetInt("route_from", 0));
-    const NodeId to = static_cast<NodeId>(flags.GetInt("route_to", 0));
-    Rng route_rng(seed + 9);
-    AltRouter router(&city, 8, route_rng);
-    const double distance = router.Distance(from, to);
-    std::printf("route %d -> %d: %.1f m, %zu hops (ALT settled %lld "
-                "nodes)\n",
-                from, to, distance, router.Path(from, to).size(),
-                static_cast<long long>(router.last_settled_count()));
   }
 
   // Build the instance.

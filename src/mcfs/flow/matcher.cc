@@ -417,18 +417,20 @@ WarmSeed IncrementalMatcher::ExportWarmSeed() const {
     }
     const NearestFacilityStream* stream = streams_[i].get();
     if (stream == nullptr) continue;  // never explored: empty prefix
-    for (const FacilityAtDistance& entry : stream->BufferedEntries()) {
+    // The logical state only: what prefetching discovered beyond the
+    // consumer's frontier stays out, so the next epoch replays (without
+    // charging stream/* work) the same entries at every thread count.
+    const StreamSeed logical = stream->LogicalSeed();
+    for (const FacilityAtDistance& entry : logical.buffered) {
       sc.buffered.push_back(
           WarmSeedEdge{facility_nodes_[entry.facility], entry.distance,
                        false});
     }
-    sc.stream_exhausted = stream->DijkstraExhausted();
+    sc.stream_exhausted = logical.exhausted;
     // Unpopped entries are a suffix of what the stream was seeded with,
     // so a still-pending known-next applies after them unchanged.
-    if (std::optional<double> next = stream->KnownNextDistance()) {
-      sc.has_next = true;
-      sc.next_distance = *next;
-    }
+    sc.has_next = logical.has_next;
+    sc.next_distance = logical.next_distance;
   }
   return seed;
 }

@@ -29,6 +29,9 @@ NearestFacilityStream::NearestFacilityStream(
       seed.skip_discoveries + static_cast<int64_t>(seed.buffered.size());
   prefetched_watermark_ = static_cast<int64_t>(seed.buffered.size());
   if (!exhausted_ && seed.has_next) seeded_next_ = seed.next_distance;
+  demanded_ = static_cast<int64_t>(seed.buffered.size());
+  demanded_exhausted_ = exhausted_;
+  demanded_next_ = seeded_next_;
   MCFS_COUNT("exec/stream/seeded_entries",
              static_cast<int64_t>(seed.buffered.size()));
 }
@@ -77,19 +80,55 @@ void NearestFacilityStream::Prefetch(int count) {
 }
 
 double NearestFacilityStream::PeekDistance() {
-  if (BufferedCount() == 0) {
+  double distance = kInfDistance;
+  if (BufferedCount() > 0) {
+    distance = buffer_[buffer_head_].candidate.distance;
+  } else if (seeded_next_.has_value()) {
     // A still-pending seed knows the next distance: answer without
     // starting the Dijkstra (this keeps warm Theorem-1 threshold scans
     // free until the consumer genuinely advances past the seed).
-    if (seeded_next_.has_value()) return *seeded_next_;
-    if (!AdvanceOne()) return kInfDistance;
+    distance = *seeded_next_;
+  } else if (AdvanceOne()) {
+    distance = buffer_[buffer_head_].candidate.distance;
   }
-  return buffer_[buffer_head_].candidate.distance;
+  // A non-prefetching consumer with nothing left in its buffer and no
+  // seed-known next distance would have advanced here.
+  if (num_popped_ == demanded_ && !demanded_next_.has_value()) {
+    DemandOne(distance != kInfDistance);
+  }
+  return distance;
+}
+
+void NearestFacilityStream::DemandOne(bool found) {
+  if (found) {
+    demanded_ = num_popped_ + 1;
+  } else {
+    demanded_exhausted_ = true;
+  }
+  demanded_next_.reset();
+}
+
+StreamSeed NearestFacilityStream::LogicalSeed() const {
+  StreamSeed seed;
+  const int64_t pending = demanded_ - num_popped_;
+  seed.buffered.reserve(static_cast<size_t>(pending));
+  for (int64_t i = 0; i < pending; ++i) {
+    seed.buffered.push_back(
+        buffer_[buffer_head_ + static_cast<size_t>(i)].candidate);
+  }
+  seed.exhausted = demanded_exhausted_;
+  seed.has_next = demanded_next_.has_value();
+  if (seed.has_next) seed.next_distance = *demanded_next_;
+  return seed;
 }
 
 std::optional<FacilityAtDistance> NearestFacilityStream::Pop() {
   const bool was_buffered = BufferedCount() > 0;
-  if (!was_buffered && !AdvanceOne()) return std::nullopt;
+  const bool found = was_buffered || AdvanceOne();
+  // Past the logical buffer a non-prefetching consumer advances (and
+  // reaches new ground, ending any seed-known next distance).
+  if (num_popped_ == demanded_) DemandOne(found);
+  if (!found) return std::nullopt;
   const BufferedCandidate entry = buffer_[buffer_head_];
   ++buffer_head_;
   if (buffer_head_ == buffer_.size()) {

@@ -112,25 +112,14 @@ class NearestFacilityStream {
   NodeId customer() const { return dijkstra_.source(); }
   int num_popped() const { return num_popped_; }
 
-  // --- Warm-seed export accessors (read-only; see StreamSeed). ---
-
-  // Discovered-but-unpopped candidates in pop order.
-  std::vector<FacilityAtDistance> BufferedEntries() const {
-    std::vector<FacilityAtDistance> out;
-    out.reserve(buffer_.size() - buffer_head_);
-    for (size_t i = buffer_head_; i < buffer_.size(); ++i) {
-      out.push_back(buffer_[i].candidate);
-    }
-    return out;
-  }
-
-  // True when the component is known to hold no candidates beyond the
-  // buffered ones. Unlike Exhausted(), never advances the Dijkstra.
-  bool DijkstraExhausted() const { return exhausted_; }
-
-  // Distance of the first discovery beyond the buffer, when known
-  // without Dijkstra work (still-pending seed); nullopt otherwise.
-  std::optional<double> KnownNextDistance() const { return seeded_next_; }
+  // Warm-seed export (read-only; see StreamSeed): the state a consumer
+  // that never prefetched would hold after the same Pop()/PeekDistance()
+  // calls — the not-yet-popped entries up to the demand frontier,
+  // whether that consumer saw the end, and the seed-known next distance
+  // it still relies on. Prefetch runs ahead of this frontier and never
+  // moves it, so the export (and the uncharged replay of its entries in
+  // the next run) is the same for every thread count.
+  StreamSeed LogicalSeed() const;
 
  private:
   // A discovered candidate plus the cumulative Dijkstra work at its
@@ -144,6 +133,9 @@ class NearestFacilityStream {
   // Appends the next candidate facility to the buffer; false when the
   // component has no more candidates.
   bool AdvanceOne();
+  // Records one advance of the non-prefetching consumer (LogicalSeed):
+  // it found the next candidate, or the end.
+  void DemandOne(bool found);
 
   IncrementalDijkstra dijkstra_;
   const std::vector<int>* facility_index_of_node_;
@@ -168,6 +160,13 @@ class NearestFacilityStream {
   // Cumulative Dijkstra work already charged to popped candidates.
   int64_t attributed_settled_ = 0;
   int64_t attributed_relaxed_ = 0;
+  // The non-prefetching consumer's view (LogicalSeed): candidates it
+  // would have discovered (counted in pop order from this stream's
+  // start), whether it ran into the end, and its pending seed-known
+  // next distance.
+  int64_t demanded_ = 0;
+  bool demanded_exhausted_ = false;
+  std::optional<double> demanded_next_;
 };
 
 }  // namespace mcfs

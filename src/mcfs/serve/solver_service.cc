@@ -207,8 +207,10 @@ void SolverService::PublishWarmState(std::shared_ptr<const WarmState> state) {
   const double build_seconds = state->build_seconds;
   const uint64_t epoch = state->epoch;
   {
+    // A swap: the previous epoch is released after the lock, so readers
+    // (the fast tier included) never wait behind its destruction.
     std::lock_guard<std::mutex> lock(state_mutex_);
-    warm_state_ = std::move(state);
+    warm_state_.swap(state);
   }
   MCFS_RECORD("serve/epoch_swap", static_cast<int64_t>(epoch), 0);
   std::lock_guard<std::mutex> lock(report_mutex_);
@@ -250,6 +252,51 @@ int SolverService::MarkDirty(const std::vector<uint8_t>& stream_dirty,
   return newly;
 }
 
+void SolverService::ClearDirtyLocked() {
+  std::fill(resolve_.stream_dirty.begin(), resolve_.stream_dirty.end(), 0);
+  std::fill(resolve_.match_dirty.begin(), resolve_.match_dirty.end(), 0);
+}
+
+void SolverService::AdoptTrackedLocked(std::vector<NodeId> tracked) {
+  tracked_customers_ = std::move(tracked);
+  tracked_count_.store(static_cast<int64_t>(tracked_customers_.size()),
+                       std::memory_order_relaxed);
+}
+
+UpdateResult SolverService::CommitUpdateLocked(
+    const WarmState& warm, std::vector<NodeId> facility_nodes,
+    std::vector<int> capacities, std::vector<NodeId> tracked,
+    const std::vector<uint8_t>& stream_dirty,
+    const std::vector<uint8_t>& match_dirty, int ops_applied) {
+  UpdateResult out;
+  out.ops_applied = ops_applied;
+  out.epoch = warm.epoch;
+  const bool catalog_changed = facility_nodes != warm.facility_nodes ||
+                               capacities != warm.capacities;
+  if (!catalog_changed && tracked == tracked_customers_) {
+    // No-op delta: the state is already exactly this. Keep the epoch —
+    // and with it the response cache and the warm-resolve seed.
+    out.noop = true;
+    MCFS_COUNT("resolve/noop_updates", 1);
+    std::lock_guard<std::mutex> lock(report_mutex_);
+    stats_.resolve_noop_updates++;
+    stats_.resolve_ops_applied += ops_applied;
+    return out;
+  }
+  out.components_dirtied = MarkDirty(stream_dirty, match_dirty);
+  if (catalog_changed) {
+    out.epoch_bumped = true;
+    out.epoch = warm.epoch + 1;
+    PublishWarmState(BuildWarmState(out.epoch, std::move(facility_nodes),
+                                    std::move(capacities)));
+  }
+  AdoptTrackedLocked(std::move(tracked));
+  std::lock_guard<std::mutex> lock(report_mutex_);
+  stats_.resolve_updates++;
+  stats_.resolve_ops_applied += ops_applied;
+  return out;
+}
+
 Status SolverService::UpdateCapacities(std::vector<int> capacities) {
   // Serialized read-validate-build-publish: two concurrent updates must
   // not read the same epoch and publish twins. resolve_mutex_ is taken
@@ -264,46 +311,21 @@ Status SolverService::UpdateCapacities(std::vector<int> capacities) {
         " entries for a catalog of " +
         std::to_string(warm->facility_nodes.size()));
   }
-  for (size_t j = 0; j < capacities.size(); ++j) {
-    if (capacities[j] < 0) {
-      return InvalidInputError("negative capacity " +
-                               std::to_string(capacities[j]) + " (facility " +
-                               std::to_string(j) + ")");
-    }
-  }
-  if (capacities == warm->capacities) {
-    // No-op delta: the state is already exactly this. Keep the epoch —
-    // and with it the response cache and the warm-resolve seed.
-    MCFS_COUNT("resolve/noop_updates", 1);
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.resolve_noop_updates++;
-    return OkStatus();
-  }
-  // Capacity increases relax the matching problem: the resumed matching
-  // could no longer be optimal in those components (decreases only shed
-  // overflow, which the resume handles in place).
-  std::vector<uint8_t> match_dirty(warm->components.num_components, 0);
-  for (size_t j = 0; j < capacities.size(); ++j) {
-    if (capacities[j] > warm->capacities[j]) {
-      match_dirty[warm->components.component_of[warm->facility_nodes[j]]] = 1;
-    }
-  }
-  MarkDirty({}, match_dirty);
-  std::vector<NodeId> nodes = warm->facility_nodes;
-  PublishWarmState(BuildWarmState(warm->epoch + 1, std::move(nodes),
-                                  std::move(capacities)));
-  {
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.resolve_updates++;
-  }
-  return OkStatus();
+  return ReplaceCatalogLocked(*warm, warm->facility_nodes,
+                              std::move(capacities));
 }
 
 Status SolverService::UpdateCandidates(std::vector<NodeId> facility_nodes,
                                        std::vector<int> capacities) {
   std::lock_guard<std::mutex> update_lock(update_mutex_);
   std::lock_guard<std::mutex> resolve_lock(resolve_mutex_);
-  std::shared_ptr<const WarmState> warm = SnapshotWarmState();
+  return ReplaceCatalogLocked(*SnapshotWarmState(), std::move(facility_nodes),
+                              std::move(capacities));
+}
+
+Status SolverService::ReplaceCatalogLocked(const WarmState& warm,
+                                           std::vector<NodeId> facility_nodes,
+                                           std::vector<int> capacities) {
   if (facility_nodes.size() != capacities.size()) {
     return InvalidInputError(
         "catalog has " + std::to_string(facility_nodes.size()) +
@@ -312,6 +334,12 @@ Status SolverService::UpdateCandidates(std::vector<NodeId> facility_nodes,
   }
   const int num_nodes = graph_->NumNodes();
   std::vector<int> index_of_node(num_nodes, -1);
+  // Added candidates invalidate their component's discovery prefixes
+  // (the new facility can appear mid-prefix) and matches; capacity
+  // increases on persisting nodes invalidate matches only (decreases
+  // only shed overflow, which the resume handles in place).
+  std::vector<uint8_t> stream_dirty(warm.components.num_components, 0);
+  std::vector<uint8_t> match_dirty(warm.components.num_components, 0);
   for (size_t j = 0; j < facility_nodes.size(); ++j) {
     const NodeId node = facility_nodes[j];
     if (node < 0 || node >= num_nodes) {
@@ -331,40 +359,17 @@ Status SolverService::UpdateCandidates(std::vector<NodeId> facility_nodes,
                                std::to_string(capacities[j]) + " (facility " +
                                std::to_string(j) + ")");
     }
-  }
-  if (facility_nodes == warm->facility_nodes &&
-      capacities == warm->capacities) {
-    MCFS_COUNT("resolve/noop_updates", 1);
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.resolve_noop_updates++;
-    return OkStatus();
-  }
-  // Added candidates invalidate their component's discovery prefixes
-  // (the new facility can appear mid-prefix) and matches; capacity
-  // increases on persisting nodes invalidate matches only.
-  std::vector<uint8_t> stream_dirty(warm->components.num_components, 0);
-  std::vector<uint8_t> match_dirty(warm->components.num_components, 0);
-  for (size_t j = 0; j < facility_nodes.size(); ++j) {
-    const NodeId node = facility_nodes[j];
-    const int old_index =
-        node < static_cast<NodeId>(warm->facility_index_of_node.size())
-            ? warm->facility_index_of_node[node]
-            : -1;
-    const int g = warm->components.component_of[node];
+    const int old_index = warm.facility_index_of_node[node];
+    const int g = warm.components.component_of[node];
     if (old_index < 0) {
       stream_dirty[g] = 1;
       match_dirty[g] = 1;
-    } else if (capacities[j] > warm->capacities[old_index]) {
+    } else if (capacities[j] > warm.capacities[old_index]) {
       match_dirty[g] = 1;
     }
   }
-  MarkDirty(stream_dirty, match_dirty);
-  PublishWarmState(BuildWarmState(warm->epoch + 1, std::move(facility_nodes),
-                                  std::move(capacities)));
-  {
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.resolve_updates++;
-  }
+  CommitUpdateLocked(warm, std::move(facility_nodes), std::move(capacities),
+                     tracked_customers_, stream_dirty, match_dirty, 0);
   return OkStatus();
 }
 
@@ -476,39 +481,9 @@ StatusOr<UpdateResult> SolverService::ApplyUpdate(
 
   MCFS_COUNT("resolve/deltas_classified",
              static_cast<int64_t>(update.ops.size()));
-
-  UpdateResult out;
-  out.ops_applied = static_cast<int>(update.ops.size());
-  const bool catalog_changed =
-      nodes != warm->facility_nodes || caps != warm->capacities;
-  const bool tracked_changed = tracked != tracked_customers_;
-  if (!catalog_changed && !tracked_changed) {
-    out.noop = true;
-    out.epoch = warm->epoch;
-    MCFS_COUNT("resolve/noop_updates", 1);
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.resolve_noop_updates++;
-    stats_.resolve_ops_applied += out.ops_applied;
-    return out;
-  }
-  out.components_dirtied = MarkDirty(stream_dirty, match_dirty);
-  if (catalog_changed) {
-    PublishWarmState(
-        BuildWarmState(warm->epoch + 1, std::move(nodes), std::move(caps)));
-    out.epoch_bumped = true;
-    out.epoch = warm->epoch + 1;
-  } else {
-    out.epoch = warm->epoch;
-  }
-  tracked_customers_ = std::move(tracked);
-  tracked_count_.store(static_cast<int64_t>(tracked_customers_.size()),
-                       std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.resolve_updates++;
-    stats_.resolve_ops_applied += out.ops_applied;
-  }
-  return out;
+  return CommitUpdateLocked(*warm, std::move(nodes), std::move(caps),
+                            std::move(tracked), stream_dirty, match_dirty,
+                            static_cast<int>(update.ops.size()));
 }
 
 uint64_t SolverService::epoch() const {
@@ -518,12 +493,16 @@ uint64_t SolverService::epoch() const {
 
 McfsInstance SolverService::TrackedInstance(int k) const {
   std::lock_guard<std::mutex> resolve_lock(resolve_mutex_);
-  std::shared_ptr<const WarmState> warm = SnapshotWarmState();
+  return TrackedInstanceLocked(*SnapshotWarmState(), k);
+}
+
+McfsInstance SolverService::TrackedInstanceLocked(const WarmState& warm,
+                                                  int k) const {
   McfsInstance instance;
   instance.graph = graph_;
   instance.customers = tracked_customers_;
-  instance.facility_nodes = warm->facility_nodes;
-  instance.capacities = warm->capacities;
+  instance.facility_nodes = warm.facility_nodes;
+  instance.capacities = warm.capacities;
   instance.k = k;
   return instance;
 }
@@ -544,8 +523,7 @@ SolveResponse SolverService::ResolveTracked(int k, int64_t deadline_ms,
   }
   auto in_flight_guard = OnScopeExit([this, trace_id] {
     std::lock_guard<std::mutex> lock(report_mutex_);
-    in_flight_.erase(
-        std::find(in_flight_.begin(), in_flight_.end(), trace_id));
+    EraseInFlightLocked(trace_id);
   });
   // Held for the whole solve: the seed, the dirty bits, and the tracked
   // population must not move under a resolve, and concurrent resolves
@@ -557,42 +535,23 @@ SolveResponse SolverService::ResolveTracked(int k, int64_t deadline_ms,
   SolveResponse response;
   response.epoch = warm->epoch;
   response.trace_id = trace_id;
-
-  McfsInstance instance;
-  instance.graph = graph_;
-  instance.customers = tracked_customers_;
-  instance.facility_nodes = warm->facility_nodes;
-  instance.capacities = warm->capacities;
-  instance.k = k;
-
-  WallTimer preprocess_timer;
-  if (!WarmValidate(*warm, instance, {})) {
-    // Invalid or infeasible state for this k: report the canonical cold
-    // diagnosis and keep the seed — a later delta can restore validity.
-    response.status = ValidateInstance(instance);
-    MCFS_CHECK(!response.status.ok())
-        << "warm validation rejected an instance the cold path accepts";
+  const McfsInstance instance = TrackedInstanceLocked(*warm, k);
+  if (!ValidatePrelude(*warm, instance, {}, &response)) {
+    // Invalid or infeasible for this k: report the canonical diagnosis
+    // and keep the seed — a later delta can restore validity. An empty
+    // population leaves nothing to resume from next time.
     if (response.status.code() == StatusCode::kInfeasible) {
       RecordPostmortem("infeasible", trace_id, warm->epoch);
     }
-    response.preprocess_seconds = preprocess_timer.Seconds();
-    return response;
-  }
-  response.preprocess_seconds = preprocess_timer.Seconds();
-
-  if (instance.m() == 0) {
-    response.solution.feasible = true;
-    resolve_.seed.reset();  // nothing to resume from next time
+    if (response.status.ok()) resolve_.seed.reset();
     return response;
   }
 
-  // options_.wma.deadline is copied through deliberately (each copy has
-  // its own poll budget) — that is how tests plant AfterPolls expiries.
-  WmaOptions wma = options_.wma;
-  wma.deadline_ms = deadline_ms;
-  wma.cancel = nullptr;
+  // The engine stays unresolved here: the auto model also weighs the
+  // warm seed, which a request shape does not know about.
+  WmaOptions wma =
+      WmaOptionsFor(deadline_ms, nullptr, trace_id, options_.wma.matcher);
   wma.export_warm_seed = true;
-  wma.trace_id = trace_id;
 
   const bool warm_started = !force_cold && !wma.naive &&
                             resolve_.seed != nullptr && resolve_.seed_k == k &&
@@ -647,11 +606,9 @@ SolveResponse SolverService::ResolveTracked(int k, int64_t deadline_ms,
         stats_.resolve_verify_rejections++;
       }
       RecordPostmortem("verify_rejection", trace_id, warm->epoch);
-      WmaOptions cold = options_.wma;
-      cold.deadline_ms = deadline_ms;
-      cold.cancel = nullptr;
+      WmaOptions cold =
+          WmaOptionsFor(deadline_ms, nullptr, trace_id, options_.wma.matcher);
       cold.export_warm_seed = true;
-      cold.trace_id = trace_id;
       WallTimer cold_timer;
       result = RunWma(instance, cold);
       response.solve_seconds += cold_timer.Seconds();
@@ -680,8 +637,7 @@ SolveResponse SolverService::ResolveTracked(int k, int64_t deadline_ms,
   // saw are now baked in, so the dirty bits reset.
   resolve_.seed = std::move(result.warm_seed);
   resolve_.seed_k = k;
-  std::fill(resolve_.stream_dirty.begin(), resolve_.stream_dirty.end(), 0);
-  std::fill(resolve_.match_dirty.begin(), resolve_.match_dirty.end(), 0);
+  ClearDirtyLocked();
 
   const bool counted_warm = warm_started && !fell_back_cold;
   response.warm_attempted = warm_started;
@@ -812,16 +768,13 @@ Status SolverService::RestoreFrom(const std::string& path) {
     cache_order_.clear();
     cache_epoch_ = checkpoint.epoch;
   }
-  tracked_customers_ = std::move(checkpoint.tracked_customers);
-  tracked_count_.store(static_cast<int64_t>(tracked_customers_.size()),
-                       std::memory_order_relaxed);
+  AdoptTrackedLocked(std::move(checkpoint.tracked_customers));
   resolve_.seed =
       checkpoint.has_seed
           ? std::make_shared<WmaWarmSeed>(std::move(checkpoint.seed))
           : nullptr;
   resolve_.seed_k = checkpoint.seed_k;
-  std::fill(resolve_.stream_dirty.begin(), resolve_.stream_dirty.end(), 0);
-  std::fill(resolve_.match_dirty.begin(), resolve_.match_dirty.end(), 0);
+  ClearDirtyLocked();
   {
     std::lock_guard<std::mutex> lock(report_mutex_);
     stats_.checkpoints_restored++;
@@ -842,73 +795,33 @@ std::shared_ptr<ResponseHandle> SolverService::Submit(SolveRequest request) {
   // Trace identity is assigned at admission so even a rejected request
   // has a joinable id in spans / flight events / the response.
   if (request.trace_id == 0) request.trace_id = obs::NewTraceId();
-  const uint64_t trace_id = request.trace_id;
-  const char* rejection = nullptr;
-  std::string shed_reason;  // nonempty = admission-time overload shed
-  bool fault_fired = false;
-  bool stopped = false;    // rejection came from a shut-down service
-  bool fast_path = false;  // answer inline via the instant responder
-  int64_t retry_after_ms = 0;
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
+  // Both queue admissions (on arrival, and after a fast-tier
+  // fallthrough) refuse through `queue_refuses` and `refuse`.
+  SolveResponse refusal;
+  refusal.trace_id = request.trace_id;
+  bool shed = false;         // admission-time overload shed
+  bool fault_fired = false;  // the shed was a fault-injected pulse
+  const auto queue_refuses = [&] {  // queue_mutex_ held
+    const char* reason = nullptr;
     if (stop_) {
-      // No retry hint: retrying a shut-down service cannot succeed.
-      rejection = "service is shut down";
-      stopped = true;
+      // No retry hint: retrying a shut-down service cannot succeed. The
+      // one rejection retrying can never outwait (DESIGN.md §4.14):
+      // clients key "stop retrying" on this flag, not on
+      // retry_after_ms == 0 — a live-but-idle service also hints 0.
+      reason = "service is shut down";
+      refusal.shutdown = true;
     } else if (static_cast<int>(queue_.size()) >= options_.queue_depth) {
-      rejection = "admission queue full";
-      retry_after_ms = RetryAfterMs(queue_.size());
-    } else if (options_.fault_plan != nullptr &&
-               options_.fault_plan->ShouldFire(FaultKind::kQueuePulse)) {
-      shed_reason = "fault-injected queue-overflow pulse";
-      fault_fired = true;
-      retry_after_ms = RetryAfterMs(queue_.size() + 1);
-    } else {
-      // Tight-SLA admission (DESIGN.md §4.14): when the estimated queue
-      // drain plus one full solve cannot fit the request's latency
-      // budget — or the estimator is still blind — the request is
-      // answered inline by the instant responder instead of queuing
-      // behind full-solve batches (the wait alone would blow the SLA).
-      // Checked before shedding: an SLA request the queue would starve
-      // is exactly what the fast tier exists for.
-      if (request.max_latency_ms > 0) {
-        const double ewma =
-            ewma_service_seconds_.load(std::memory_order_relaxed);
-        const double est_ms =
-            ewma * 1000.0 *
-            (1.0 + static_cast<double>(queue_.size()) /
-                       static_cast<double>(effective_parallelism_));
-        fast_path = ewma <= 0.0 ||
-                    est_ms > static_cast<double>(request.max_latency_ms);
-      }
-      // Queue-delay-aware shedding (DESIGN.md §4.13): when the work
-      // already waiting is estimated to outlast this request's own
-      // deadline, admitting it only burns a queue slot on a response
-      // that will arrive dead. Reject now, with a drain-time hint.
-      const int64_t deadline_ms = request.deadline_ms > 0
-                                      ? request.deadline_ms
-                                      : options_.default_deadline_ms;
-      const double ewma =
-          ewma_service_seconds_.load(std::memory_order_relaxed);
-      if (!fast_path && deadline_ms > 0 && ewma > 0.0 && !queue_.empty()) {
-        const double est_wait_ms =
-            static_cast<double>(queue_.size()) * ewma * 1000.0 /
-            static_cast<double>(effective_parallelism_);
-        if (est_wait_ms > static_cast<double>(deadline_ms)) {
-          shed_reason = "estimated queue wait " +
-                        std::to_string(std::llround(est_wait_ms)) +
-                        " ms exceeds the request deadline " +
-                        std::to_string(deadline_ms) + " ms";
-          retry_after_ms = RetryAfterMs(queue_.size());
-        }
-      }
-      if (!fast_path && shed_reason.empty()) {
-        queue_.push_back({std::move(request), handle, NowSeconds()});
-      }
+      reason = "admission queue full";
+      refusal.retry_after_ms = RetryAfterMs(queue_.size());
     }
-  }
-  if (rejection != nullptr || !shed_reason.empty()) {
-    const bool shed = !shed_reason.empty();
+    if (reason != nullptr) {
+      refusal.status = UnavailableError(
+          std::string(reason) + " (queue_depth = " +
+          std::to_string(options_.queue_depth) + ")");
+    }
+    return reason != nullptr;
+  };
+  const auto refuse = [&] {
     if (shed) {
       MCFS_COUNT("serve/requests_shed", 1);
     } else {
@@ -923,72 +836,89 @@ std::shared_ptr<ResponseHandle> SolverService::Submit(SolveRequest request) {
       }
       if (fault_fired) stats_.faults_injected++;
     }
-    SolveResponse response;
-    response.trace_id = trace_id;
-    response.retry_after_ms = retry_after_ms;
-    // The one rejection retrying can never outwait (satellite of
-    // DESIGN.md §4.14): clients key "stop retrying" on this flag, not
-    // on retry_after_ms == 0 — a live-but-idle service also hints 0.
-    response.shutdown = stopped;
-    response.status = UnavailableError(
-        shed ? shed_reason
-             : std::string(rejection) + " (queue_depth = " +
-                   std::to_string(options_.queue_depth) + ")");
-    handle->Complete(std::move(response));
+    handle->Complete(std::move(refusal));
     return handle;
+  };
+  bool fast_path = false;  // answer inline via the instant responder
+  {
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    fault_fired =
+        !queue_refuses() && options_.fault_plan != nullptr &&
+        options_.fault_plan->ShouldFire(FaultKind::kQueuePulse);
+    if (fault_fired) {
+      shed = true;
+      refusal.retry_after_ms = RetryAfterMs(queue_.size() + 1);
+      refusal.status = UnavailableError("fault-injected queue-overflow pulse");
+    } else if (refusal.status.ok()) {
+      const double ewma =
+          ewma_service_seconds_.load(std::memory_order_relaxed);
+      // Tight-SLA admission (DESIGN.md §4.14): when the estimated queue
+      // drain plus one full solve cannot fit the request's latency
+      // budget — or the estimator is still blind — the request is
+      // answered inline by the instant responder instead of queuing
+      // behind full-solve batches (the wait alone would blow the SLA).
+      // Checked before shedding: an SLA request the queue would starve
+      // is exactly what the fast tier exists for.
+      if (request.max_latency_ms > 0) {
+        const double est_ms =
+            ewma * 1000.0 *
+            (1.0 + static_cast<double>(queue_.size()) /
+                       static_cast<double>(effective_parallelism_));
+        fast_path = ewma <= 0.0 ||
+                    est_ms > static_cast<double>(request.max_latency_ms);
+      }
+      // Queue-delay-aware shedding (DESIGN.md §4.13): when the work
+      // already waiting is estimated to outlast this request's own
+      // deadline, admitting it only burns a queue slot on a response
+      // that will arrive dead. Reject now, with a drain-time hint.
+      const int64_t deadline_ms = request.deadline_ms > 0
+                                      ? request.deadline_ms
+                                      : options_.default_deadline_ms;
+      if (!fast_path && deadline_ms > 0 && ewma > 0.0 && !queue_.empty()) {
+        const double est_wait_ms =
+            static_cast<double>(queue_.size()) * ewma * 1000.0 /
+            static_cast<double>(effective_parallelism_);
+        if (est_wait_ms > static_cast<double>(deadline_ms)) {
+          shed = true;
+          refusal.retry_after_ms = RetryAfterMs(queue_.size());
+          refusal.status = UnavailableError(
+              "estimated queue wait " +
+              std::to_string(std::llround(est_wait_ms)) +
+              " ms exceeds the request deadline " +
+              std::to_string(deadline_ms) + " ms");
+        }
+      }
+      if (!fast_path && !shed) {
+        queue_.push_back({std::move(request), handle, NowSeconds()});
+      }
+    }
   }
+  if (!refusal.status.ok()) return refuse();
   MCFS_COUNT("serve/requests_admitted", 1);
   {
     std::lock_guard<std::mutex> lock(report_mutex_);
     stats_.requests_admitted++;
   }
-  if (!fast_path) {
-    queue_cv_.notify_one();
-    return handle;
-  }
-  // Instant responder (DESIGN.md §4.14), inline on the submitting
-  // thread: the queue is the latency the SLA cannot afford.
-  PendingRequest pending{std::move(request), handle, NowSeconds()};
-  if (FastServe(pending)) return handle;
-  // The fast attempt could not produce a verified feasible answer; fall
-  // through to the queued full solve (fidelity over the SLA). The queue
-  // is re-checked — admission raced other submitters while we tried.
-  MCFS_COUNT("serve/fast_fallthroughs", 1);
-  {
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.fast_fallthroughs++;
-  }
-  bool requeued = false;
-  stopped = false;
-  int64_t hint_ms = 0;
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (stop_) {
-      stopped = true;
-    } else if (static_cast<int>(queue_.size()) >= options_.queue_depth) {
-      hint_ms = RetryAfterMs(queue_.size());
-    } else {
-      queue_.push_back(std::move(pending));
-      requeued = true;
+  if (fast_path) {
+    // Instant responder (DESIGN.md §4.14), inline on the submitting
+    // thread: the queue is the latency the SLA cannot afford.
+    PendingRequest pending{std::move(request), handle, NowSeconds()};
+    if (FastServe(pending)) return handle;
+    // The fast attempt could not produce a verified feasible answer;
+    // fall through to the queued full solve (fidelity over the SLA). The
+    // queue is re-checked — admission raced other submitters meanwhile.
+    MCFS_COUNT("serve/fast_fallthroughs", 1);
+    {
+      std::lock_guard<std::mutex> lock(report_mutex_);
+      stats_.fast_fallthroughs++;
     }
+    {
+      std::lock_guard<std::mutex> lock(queue_mutex_);
+      if (!queue_refuses()) queue_.push_back(std::move(pending));
+    }
+    if (!refusal.status.ok()) return refuse();
   }
-  if (requeued) {
-    queue_cv_.notify_one();
-    return handle;
-  }
-  MCFS_COUNT("serve/requests_rejected", 1);
-  {
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.requests_rejected++;
-  }
-  SolveResponse response;
-  response.trace_id = trace_id;
-  response.retry_after_ms = hint_ms;
-  response.shutdown = stopped;
-  response.status = UnavailableError(
-      std::string(stopped ? "service is shut down" : "admission queue full") +
-      " (queue_depth = " + std::to_string(options_.queue_depth) + ")");
-  handle->Complete(std::move(response));
+  queue_cv_.notify_one();
   return handle;
 }
 
@@ -1115,6 +1045,160 @@ bool SolverService::WarmValidate(const WarmState& warm,
   return required_facilities <= instance.k;
 }
 
+SolverService::RequestView SolverService::ViewOf(
+    const SolveRequest& request) const {
+  RequestView view;
+  view.warm = SnapshotWarmState();
+  const WarmState& warm = *view.warm;
+  view.deadline_ms = request.deadline_ms > 0 ? request.deadline_ms
+                                             : options_.default_deadline_ms;
+  view.cacheable = options_.cache_capacity > 0 && view.deadline_ms == 0 &&
+                   request.cancel == nullptr;
+  // The response must be bit-identical to SolveWma on exactly this
+  // instance.
+  McfsInstance& instance = view.instance;
+  instance.graph = graph_;
+  instance.customers = request.customers;
+  instance.k = request.k;
+  const int catalog_size = static_cast<int>(warm.facility_nodes.size());
+  if (request.facility_subset.empty()) {
+    instance.facility_nodes = warm.facility_nodes;
+    instance.capacities = warm.capacities;
+  } else {
+    instance.facility_nodes.reserve(request.facility_subset.size());
+    instance.capacities.reserve(request.facility_subset.size());
+    for (const int idx : request.facility_subset) {
+      if (idx < 0 || idx >= catalog_size) {
+        // A service-level defect: the subset indexes the catalog, a
+        // concept SolveWma never sees, so this error is the service's own.
+        view.status = InvalidInputError(
+            "facility subset index out of range [0, " +
+            std::to_string(catalog_size) + ")");
+        return view;
+      }
+      instance.facility_nodes.push_back(warm.facility_nodes[idx]);
+      instance.capacities.push_back(warm.capacities[idx]);
+    }
+  }
+  // Resolve the engine for this request's shape once: the same resolved
+  // kind keys the response cache and runs the solve, so an auto-picked
+  // engine never serves a cache entry another engine produced.
+  MatchShape shape;
+  shape.customers = static_cast<int64_t>(instance.m());
+  shape.facilities = static_cast<int64_t>(instance.l());
+  for (const int c : instance.capacities) shape.total_capacity += c;
+  view.matcher = ResolveMatcherBackend(options_.wma.matcher, shape);
+  view.key = CacheKey{request.customers, request.k, request.facility_subset,
+                      view.matcher};
+  return view;
+}
+
+bool SolverService::ValidatePrelude(const WarmState& warm,
+                                    const McfsInstance& instance,
+                                    const std::vector<int>& subset,
+                                    SolveResponse* response) const {
+  WallTimer preprocess_timer;
+  const bool valid = WarmValidate(warm, instance, subset);
+  if (!valid) {
+    // The warm verdict says SolveWma would reject; re-derive the
+    // canonical diagnosis on the cold path so the message matches the
+    // direct call byte for byte.
+    response->status = ValidateInstance(instance);
+    MCFS_CHECK(!response->status.ok())
+        << "warm validation rejected an instance the cold path accepts";
+  }
+  response->preprocess_seconds = preprocess_timer.Seconds();
+  if (!valid) return false;
+  if (instance.m() == 0) {
+    // SolveWma's trivial shortcut, replicated exactly.
+    response->solution.feasible = true;
+    return false;
+  }
+  return true;
+}
+
+WmaOptions SolverService::WmaOptionsFor(int64_t deadline_ms,
+                                        const CancelToken* cancel,
+                                        uint64_t trace_id,
+                                        MatcherBackendKind matcher) const {
+  WmaOptions wma = options_.wma;
+  wma.deadline_ms = deadline_ms;
+  wma.cancel = cancel;
+  wma.trace_id = trace_id;
+  wma.matcher = matcher;
+  return wma;
+}
+
+const SolverService::CacheEntry* SolverService::FindLocked(
+    const CacheKey& key, uint64_t epoch) const {
+  if (cache_epoch_ != epoch) return nullptr;
+  const auto it = cache_.find(key);
+  return it == cache_.end() ? nullptr : &it->second;
+}
+
+bool SolverService::LookupCache(const RequestView& view,
+                                std::unique_lock<std::mutex> lock,
+                                SolveResponse* response) const {
+  const CacheEntry* entry =
+      lock.owns_lock() ? FindLocked(view.key, view.warm->epoch) : nullptr;
+  if (entry != nullptr) {
+    response->solution = entry->solution;
+    response->stats = entry->stats;
+    response->verify_ran = entry->verify_ran;
+    response->verify_ok = entry->verify_ok;
+    // Hits carry the tier of the entry they hit: an upgraded-in-place
+    // entry serves "full" (bound cleared), a still-awaiting-refinement
+    // entry serves "fast" with its recorded bound.
+    response->tier = entry->tier;
+    response->quality_bound = entry->quality_bound;
+    response->cache_hit = true;
+  }
+  // Released here: a by-value parameter may live until the end of the
+  // caller's full expression.
+  if (lock.owns_lock()) lock.unlock();
+  return entry != nullptr;
+}
+
+bool SolverService::InsertLocked(const CacheKey& key, CacheEntry& entry,
+                                 uint64_t epoch) {
+  if (cache_epoch_ != epoch) return false;
+  // try_emplace leaves `entry` intact when the key is taken, so an
+  // upgrade can still move from it.
+  if (!cache_.try_emplace(key, std::move(entry)).second) return false;
+  cache_order_.push_back(key);
+  while (static_cast<int>(cache_.size()) > options_.cache_capacity) {
+    cache_.erase(cache_order_.front());
+    cache_order_.pop_front();
+  }
+  return true;
+}
+
+bool SolverService::UpgradeLocked(const CacheKey& key, uint64_t epoch,
+                                  CacheEntry& full) {
+  // FindLocked is const for ProbeCache; the entry itself is mutable here.
+  CacheEntry* entry = const_cast<CacheEntry*>(FindLocked(key, epoch));
+  if (entry == nullptr || entry->tier != "fast") return false;
+  // Same key, same epoch; the trace id of the planting fast answer is
+  // kept — the converged entry is that request's continuation.
+  const uint64_t planting_trace = entry->trace_id;
+  *entry = std::move(full);
+  entry->trace_id = planting_trace;
+  return true;
+}
+
+void SolverService::NoteUpgrade(uint64_t trace_id, uint64_t epoch) {
+  MCFS_COUNT("serve/tier_upgrades", 1);
+  MCFS_RECORD("serve/cache_upgrade", static_cast<int64_t>(trace_id),
+              static_cast<int64_t>(epoch));
+  std::lock_guard<std::mutex> lock(report_mutex_);
+  stats_.refine_upgrades++;
+}
+
+void SolverService::EraseInFlightLocked(uint64_t trace_id) {
+  const auto it = std::find(in_flight_.begin(), in_flight_.end(), trace_id);
+  if (it != in_flight_.end()) in_flight_.erase(it);
+}
+
 void SolverService::Execute(PendingRequest& pending) {
   const SolveRequest& request = pending.request;
   // The trace context is installed before anything measurable happens:
@@ -1132,125 +1216,30 @@ void SolverService::Execute(PendingRequest& pending) {
     std::lock_guard<std::mutex> lock(report_mutex_);
     in_flight_.push_back(request.trace_id);
   }
-  std::shared_ptr<const WarmState> warm = SnapshotWarmState();
+  const RequestView view = ViewOf(request);
+  const WarmState& warm = *view.warm;
+  const McfsInstance& instance = view.instance;
 
   SolveResponse response;
-  response.epoch = warm->epoch;
+  response.epoch = warm.epoch;
   response.trace_id = request.trace_id;
   response.queue_seconds = NowSeconds() - pending.admitted_at;
-
-  const int64_t deadline_ms = request.deadline_ms > 0
-                                  ? request.deadline_ms
-                                  : options_.default_deadline_ms;
-  const bool cacheable = options_.cache_capacity > 0 && deadline_ms == 0 &&
-                         request.cancel == nullptr;
-
-  // Materialize the instance view this request describes. The response
-  // must be bit-identical to SolveWma on exactly this instance.
-  McfsInstance instance;
-  instance.graph = graph_;
-  instance.customers = request.customers;
-  instance.k = request.k;
-  bool subset_in_range = true;
-  const int catalog_size = static_cast<int>(warm->facility_nodes.size());
-  if (request.facility_subset.empty()) {
-    instance.facility_nodes = warm->facility_nodes;
-    instance.capacities = warm->capacities;
-  } else {
-    instance.facility_nodes.reserve(request.facility_subset.size());
-    instance.capacities.reserve(request.facility_subset.size());
-    for (const int idx : request.facility_subset) {
-      if (idx < 0 || idx >= catalog_size) {
-        subset_in_range = false;
-        break;
-      }
-      instance.facility_nodes.push_back(warm->facility_nodes[idx]);
-      instance.capacities.push_back(warm->capacities[idx]);
-    }
-  }
-  if (!subset_in_range) {
-    // A service-level defect: the subset indexes the catalog, a concept
-    // SolveWma never sees, so this error is the service's own.
-    response.status = InvalidInputError(
-        "facility subset index out of range [0, " +
-        std::to_string(catalog_size) + ")");
+  response.status = view.status;
+  // Completion happens outside cache_mutex_ (LookupCache releases it):
+  // FinishRequest fulfills the handle, and a woken client can preempt
+  // this thread — holding the lock through that wake convoys every
+  // concurrent lookup behind a descheduled holder.
+  if (!response.status.ok() ||
+      (view.cacheable &&
+       LookupCache(view, std::unique_lock<std::mutex>(cache_mutex_),
+                   &response)) ||
+      !ValidatePrelude(warm, instance, request.facility_subset, &response)) {
     FinishRequest(pending, std::move(response));
     return;
   }
 
-  // Resolve the engine for this request's shape once: the same resolved
-  // kind keys the response cache and runs the solve, so an auto-picked
-  // engine never serves a cache entry another engine produced.
-  MatchShape request_shape;
-  request_shape.customers = static_cast<int64_t>(instance.m());
-  request_shape.facilities = static_cast<int64_t>(instance.l());
-  for (const int c : instance.capacities) request_shape.total_capacity += c;
-  const MatcherBackendKind request_matcher =
-      ResolveMatcherBackend(options_.wma.matcher, request_shape);
-
-  if (cacheable) {
-    bool hit = false;
-    {
-      std::lock_guard<std::mutex> lock(cache_mutex_);
-      if (cache_epoch_ == warm->epoch) {
-        const auto it = cache_.find(CacheKey{request.customers, request.k,
-                                             request.facility_subset,
-                                             request_matcher});
-        if (it != cache_.end()) {
-          const CacheEntry& entry = it->second;
-          response.solution = entry.solution;
-          response.stats = entry.stats;
-          response.verify_ran = entry.verify_ran;
-          response.verify_ok = entry.verify_ok;
-          // Hits carry the tier of the entry they hit: an upgraded-in-
-          // place entry serves "full" (bound cleared), a still-awaiting-
-          // refinement entry serves "fast" with its recorded bound.
-          response.tier = entry.tier;
-          response.quality_bound = entry.quality_bound;
-          response.cache_hit = true;
-          hit = true;
-        }
-      }
-    }
-    // Completion happens outside cache_mutex_: FinishRequest fulfills
-    // the handle, and a woken client can preempt this thread (single-
-    // core boxes especially) — holding the lock through that wake
-    // convoys every concurrent lookup behind a descheduled holder.
-    if (hit) {
-      MCFS_COUNT("serve/cache_hits", 1);
-      FinishRequest(pending, std::move(response));
-      return;
-    }
-  }
-
-  WallTimer preprocess_timer;
-  if (!WarmValidate(*warm, instance, request.facility_subset)) {
-    // The warm verdict says SolveWma would reject; re-derive the
-    // canonical diagnosis on the cold path so the message matches the
-    // direct call byte for byte.
-    response.status = ValidateInstance(instance);
-    MCFS_CHECK(!response.status.ok())
-        << "warm validation rejected an instance the cold path accepts";
-    response.preprocess_seconds = preprocess_timer.Seconds();
-    FinishRequest(pending, std::move(response));
-    return;
-  }
-  response.preprocess_seconds = preprocess_timer.Seconds();
-
-  if (instance.m() == 0) {
-    // SolveWma's trivial shortcut, replicated exactly.
-    response.solution.feasible = true;
-    FinishRequest(pending, std::move(response));
-    return;
-  }
-
-  // options_.wma.deadline is copied through deliberately (each copy has
-  // its own poll budget) — that is how tests plant AfterPolls expiries.
-  WmaOptions wma = options_.wma;
-  wma.deadline_ms = deadline_ms;
-  wma.cancel = request.cancel;
-  wma.trace_id = request.trace_id;
-  wma.matcher = request_matcher;
+  WmaOptions wma = WmaOptionsFor(view.deadline_ms, request.cancel,
+                                 request.trace_id, view.matcher);
   bool fault_deadline = false;
   if (options_.fault_plan != nullptr &&
       options_.fault_plan->ShouldFire(FaultKind::kDeadlineCut)) {
@@ -1305,59 +1294,27 @@ void SolverService::Execute(PendingRequest& pending) {
   if (request.allow_degraded &&
       ((response.verify_ran && !response.verify_ok) ||
        response.solution.termination == Termination::kDeadline)) {
-    DegradeResponse(instance, request_matcher, warm->epoch,
-                    response.verify_ran && !response.verify_ok,
-                    request.facility_subset.empty()
-                        ? &warm->nearest_facility
-                        : nullptr,
+    DegradeResponse(view, response.verify_ran && !response.verify_ok,
                     &response);
   }
 
-  if (cacheable && response.tier == "full" &&
+  if (view.cacheable && response.tier == "full" &&
       response.solution.termination == Termination::kConverged) {
-    bool overtook_fast = false;
     // Built outside the lock: this thread may be running at
     // background_nice, and a preemption inside cache_mutex_ would
     // convoy the inline fast tier behind a starved holder.
-    CacheKey key{request.customers, request.k, request.facility_subset,
-                 request_matcher};
-    CacheEntry full_entry{response.solution, response.stats,
-                          response.verify_ran, response.verify_ok, "full",
-                          0.0, request.trace_id};
+    CacheEntry entry{response.solution, response.stats, response.verify_ran,
+                     response.verify_ok, "full", 0.0, request.trace_id};
+    bool overtook_fast = false;
     {
       std::lock_guard<std::mutex> lock(cache_mutex_);
-      if (cache_epoch_ == warm->epoch) {
-        // try_emplace keeps full_entry intact when the key is taken, so
-        // the upgrade below can move from it instead of re-copying the
-        // solution while holding the lock.
-        const auto inserted = cache_.try_emplace(key, std::move(full_entry));
-        if (inserted.second) {
-          cache_order_.push_back(std::move(key));
-          while (static_cast<int>(cache_.size()) > options_.cache_capacity) {
-            cache_.erase(cache_order_.front());
-            cache_order_.pop_front();
-          }
-        } else if (inserted.first->second.tier == "fast") {
-          // A queued full solve on the same identity overtook the
-          // background refinement: upgrade in place now (same key, same
-          // epoch, planting trace id kept) — the refiner will find the
-          // entry already converged and discard its task.
-          CacheEntry& entry = inserted.first->second;
-          const uint64_t planting_trace = entry.trace_id;
-          entry = std::move(full_entry);
-          entry.trace_id = planting_trace;
-          overtook_fast = true;
-        }
-      }
+      // A queued full solve on the same identity can overtake the
+      // background refinement of a fast entry: it upgrades in place now,
+      // and the refiner will find the entry converged and discard.
+      overtook_fast = !InsertLocked(view.key, entry, warm.epoch) &&
+                      UpgradeLocked(view.key, warm.epoch, entry);
     }
-    if (overtook_fast) {
-      MCFS_COUNT("serve/tier_upgrades", 1);
-      MCFS_RECORD("serve/cache_upgrade",
-                  static_cast<int64_t>(request.trace_id),
-                  static_cast<int64_t>(warm->epoch));
-      std::lock_guard<std::mutex> lock(report_mutex_);
-      stats_.refine_upgrades++;
-    }
+    if (overtook_fast) NoteUpgrade(request.trace_id, warm.epoch);
   }
 
   FinishRequest(pending, std::move(response));
@@ -1402,12 +1359,11 @@ double SolverService::NearestFacilityQualityBound(
   return objective / lower;
 }
 
-void SolverService::DegradeResponse(const McfsInstance& instance,
-                                    MatcherBackendKind matcher,
-                                    uint64_t epoch_at, bool rejected,
-                                    const MultiSourceResult* nearest,
+void SolverService::DegradeResponse(const RequestView& view, bool rejected,
                                     SolveResponse* response) {
   MCFS_SPAN("serve/degrade");
+  const McfsInstance& instance = view.instance;
+  const uint64_t epoch_at = view.warm->epoch;
   // Rung 1: the anytime best-so-far answer, which the caller already
   // ran through the independent verifier — unless that verdict (or an
   // injected rejection) marked it untrusted wholesale.
@@ -1417,7 +1373,7 @@ void SolverService::DegradeResponse(const McfsInstance& instance,
     // verify it from first principles. Degraded answers never serve
     // unchecked.
     WallTimer fallback_timer;
-    McfsSolution fallback = DegradedFallback(instance, matcher);
+    McfsSolution fallback = DegradedFallback(instance, view.matcher);
     response->solve_seconds += fallback_timer.Seconds();
     const VerifyReport verdict = VerifySolution(instance, fallback);
     if (!fallback.feasible || !verdict.ok) {
@@ -1439,8 +1395,11 @@ void SolverService::DegradeResponse(const McfsInstance& instance,
   response->tier = "degraded";
   response->verify_ran = true;
   response->verify_ok = true;
+  // Full-catalog requests reuse the epoch's nearest-facility pass.
   response->quality_bound = NearestFacilityQualityBound(
-      instance, response->solution.objective, nearest);
+      instance, response->solution.objective,
+      view.key.facility_subset.empty() ? &view.warm->nearest_facility
+                                       : nullptr);
   RecordPostmortem(
       rejected ? "degraded_verify_rejection" : "degraded_deadline",
       response->trace_id, epoch_at);
@@ -1465,105 +1424,45 @@ bool SolverService::FastServe(PendingRequest& pending) {
   // this path takes before its latency is recorded is therefore a
   // try-lock, and contention skips the optional work: the in-flight
   // marker is diagnostic, a skipped cache lookup is a cache miss, and a
-  // skipped plant just means a later occurrence plants instead.
+  // skipped plant just means a later occurrence plants instead. The one
+  // exception is the epoch snapshot: state_mutex_ guards only a
+  // shared_ptr copy or swap.
   {
     std::unique_lock<std::mutex> lock(report_mutex_, std::try_to_lock);
     if (lock.owns_lock()) in_flight_.push_back(request.trace_id);
   }
   // Fallthrough exits bypass FinishRequest, so they retire the
-  // in-flight marker themselves before handing the request back.
-  auto retire = [&] {
+  // in-flight marker themselves before handing the request to the queue
+  // (whose full solve, not this attempt, then carries the latency).
+  auto fall_through = [&] {
     std::lock_guard<std::mutex> lock(report_mutex_);
-    const auto it =
-        std::find(in_flight_.begin(), in_flight_.end(), request.trace_id);
-    if (it != in_flight_.end()) in_flight_.erase(it);
+    EraseInFlightLocked(request.trace_id);
+    return false;
   };
 
   // The instant responder leans on the epoch's precomputed
   // nearest-facility distances; a catalog subset would need its own
   // multi-source Dijkstra — no longer instant — so subset requests take
   // the full path.
-  if (!request.facility_subset.empty()) {
-    retire();
-    return false;
-  }
+  if (!request.facility_subset.empty()) return fall_through();
 
-  std::shared_ptr<const WarmState> warm = SnapshotWarmState();
+  const RequestView view = ViewOf(request);
+  const WarmState& warm = *view.warm;
+  const McfsInstance& instance = view.instance;
 
   SolveResponse response;
-  response.epoch = warm->epoch;
+  response.epoch = warm.epoch;
   response.trace_id = request.trace_id;
   response.queue_seconds = NowSeconds() - pending.admitted_at;
-
-  const int64_t deadline_ms = request.deadline_ms > 0
-                                  ? request.deadline_ms
-                                  : options_.default_deadline_ms;
-  const bool cacheable = options_.cache_capacity > 0 && deadline_ms == 0 &&
-                         request.cancel == nullptr;
-
-  McfsInstance instance;
-  instance.graph = graph_;
-  instance.customers = request.customers;
-  instance.k = request.k;
-  instance.facility_nodes = warm->facility_nodes;
-  instance.capacities = warm->capacities;
-
-  MatchShape request_shape;
-  request_shape.customers = static_cast<int64_t>(instance.m());
-  request_shape.facilities = static_cast<int64_t>(instance.l());
-  for (const int c : instance.capacities) request_shape.total_capacity += c;
-  const MatcherBackendKind request_matcher =
-      ResolveMatcherBackend(options_.wma.matcher, request_shape);
-
-  if (cacheable) {
-    bool hit = false;
-    {
-      // try-lock: a contended cache is treated as a miss rather than a
-      // wait — recomputing a 0.5ms fast answer beats blocking behind a
-      // possibly-descheduled background holder.
-      std::unique_lock<std::mutex> lock(cache_mutex_, std::try_to_lock);
-      if (lock.owns_lock() && cache_epoch_ == warm->epoch) {
-        const auto it = cache_.find(CacheKey{request.customers, request.k,
-                                             request.facility_subset,
-                                             request_matcher});
-        if (it != cache_.end()) {
-          const CacheEntry& entry = it->second;
-          response.solution = entry.solution;
-          response.stats = entry.stats;
-          response.verify_ran = entry.verify_ran;
-          response.verify_ok = entry.verify_ok;
-          response.tier = entry.tier;
-          response.quality_bound = entry.quality_bound;
-          response.cache_hit = true;
-          hit = true;
-        }
-      }
-    }
-    // Finish outside cache_mutex_ — same wake-preemption convoy hazard
-    // as Execute's hit path; the fast tier is the one that pays for it.
-    if (hit) {
-      MCFS_COUNT("serve/cache_hits", 1);
-      FinishRequest(pending, std::move(response));
-      return true;
-    }
-  }
-
-  WallTimer preprocess_timer;
-  if (!WarmValidate(*warm, instance, request.facility_subset)) {
-    // Definitive: the full path would reject with the same canonical
-    // status — no point burning a queue slot to find out.
-    response.status = ValidateInstance(instance);
-    MCFS_CHECK(!response.status.ok())
-        << "warm validation rejected an instance the cold path accepts";
-    response.preprocess_seconds = preprocess_timer.Seconds();
-    FinishRequest(pending, std::move(response));
-    return true;
-  }
-  response.preprocess_seconds = preprocess_timer.Seconds();
-
-  if (instance.m() == 0) {
-    // SolveWma's trivial shortcut, replicated exactly.
-    response.solution.feasible = true;
+  // try-lock: a contended cache is treated as a miss rather than a wait —
+  // recomputing a 0.5ms fast answer beats blocking behind a possibly-
+  // descheduled background holder. An invalid instance is definitive:
+  // the full path would reject with the same canonical status.
+  if ((view.cacheable &&
+       LookupCache(view,
+                   std::unique_lock<std::mutex>(cache_mutex_, std::try_to_lock),
+                   &response)) ||
+      !ValidatePrelude(warm, instance, request.facility_subset, &response)) {
     FinishRequest(pending, std::move(response));
     return true;
   }
@@ -1577,7 +1476,7 @@ bool SolverService::FastServe(PendingRequest& pending) {
   const int budget = std::min(request.k, catalog);
   std::vector<int64_t> demand(catalog, 0);
   for (const NodeId c : instance.customers) {
-    const int f = warm->nearest_facility.nearest_index[c];
+    const int f = warm.nearest_facility.nearest_index[c];
     if (f >= 0) demand[f]++;
   }
   std::vector<int> order(catalog);
@@ -1587,17 +1486,11 @@ bool SolverService::FastServe(PendingRequest& pending) {
     return a < b;
   });
   std::vector<int> selected(order.begin(), order.begin() + budget);
-  if (!CoverComponents(instance, selected)) {
-    retire();
-    return false;
-  }
+  if (!CoverComponents(instance, selected)) return fall_through();
   const FastMatchResult match =
       FastGreedyMatch(*graph_, instance.customers, instance.facility_nodes,
                       instance.capacities, selected);
-  if (!match.all_assigned) {
-    retire();
-    return false;
-  }
+  if (!match.all_assigned) return fall_through();
   McfsSolution solution;
   solution.selected = std::move(selected);
   solution.assignment = match.assignment;
@@ -1611,76 +1504,51 @@ bool SolverService::FastServe(PendingRequest& pending) {
   // early-exit searches instead of one full Dijkstra per facility.
   VerifyOptions fast_verify;
   fast_verify.targeted = true;
-  const VerifyReport verdict = VerifySolution(instance, solution, fast_verify);
-  if (!verdict.ok) {
-    retire();
-    return false;
+  if (!VerifySolution(instance, solution, fast_verify).ok) {
+    return fall_through();
   }
   response.solve_seconds = solve_timer.Seconds();
   response.verify_ran = true;
   response.verify_ok = true;
   response.tier = "fast";
   response.quality_bound = NearestFacilityQualityBound(
-      instance, solution.objective, &warm->nearest_facility);
+      instance, solution.objective, &warm.nearest_facility);
   response.solution = std::move(solution);
 
-  // Plant the cache entry at tier "fast" and queue its background
-  // refinement (same key, same epoch, same trace id). refine == false
-  // answers are final and never cached, mirroring degraded answers.
-  if (cacheable && request.refine) {
-    CacheKey key{request.customers, request.k, request.facility_subset,
-                 request_matcher};
-    // The entry is built (solution copied) before taking the lock so
-    // the critical section is a map move-insert, and the acquisition is
-    // a try-lock: losing a plant to contention only defers caching and
-    // refinement to the identity's next occurrence.
-    CacheEntry planted_entry{response.solution, response.stats, true, true,
-                             "fast", response.quality_bound,
-                             request.trace_id};
-    bool planted = false;
-    {
-      std::unique_lock<std::mutex> lock(cache_mutex_, std::try_to_lock);
-      if (lock.owns_lock() && cache_epoch_ == warm->epoch) {
-        const auto inserted = cache_.emplace(key, std::move(planted_entry));
-        if (inserted.second) {
-          cache_order_.push_back(key);
-          while (static_cast<int>(cache_.size()) > options_.cache_capacity) {
-            cache_.erase(cache_order_.front());
-            cache_order_.pop_front();
-          }
-          planted = true;
-        }
+  // Plant the cache entry at tier "fast" together with its background
+  // refinement (same key, same epoch, same trace id), both under
+  // try-locks: a present fast entry always has a refinement coming, and
+  // losing either lock only defers caching and refinement to the
+  // identity's next occurrence. refine == false answers are final and
+  // never cached, mirroring degraded answers. The entry is built (the
+  // solution copied) before any lock is taken.
+  if (view.cacheable && request.refine) {
+    CacheEntry planted{response.solution, response.stats, true, true,
+                       "fast", response.quality_bound, request.trace_id};
+    std::unique_lock<std::mutex> refine_lock(refine_mutex_, std::try_to_lock);
+    std::unique_lock<std::mutex> cache_lock(cache_mutex_, std::defer_lock);
+    if (refine_lock.owns_lock() && !refine_stop_ && cache_lock.try_lock() &&
+        InsertLocked(view.key, planted, warm.epoch)) {
+      cache_lock.unlock();
+      // Dedup by (key, epoch): N identical fast answers need one
+      // refinement. (Planting required an empty slot, so a duplicate
+      // here means a racing eviction + re-plant.)
+      const bool duplicate = std::any_of(
+          refine_queue_.begin(), refine_queue_.end(),
+          [&](const RefineTask& task) {
+            return task.epoch == warm.epoch && !(task.key < view.key) &&
+                   !(view.key < task.key);
+          });
+      if (!duplicate) {
+        refine_queue_.push_back(
+            RefineTask{view.key, warm.epoch, request.trace_id});
+        pending.refine_enqueued = true;
       }
     }
-    if (planted) {
-      bool enqueued = false;
-      {
-        std::lock_guard<std::mutex> lock(refine_mutex_);
-        if (!refine_stop_) {
-          // Dedup by (key, epoch): N identical fast answers need one
-          // refinement. (Planting already required an empty slot, so a
-          // duplicate here means a racing eviction + re-plant.)
-          bool duplicate = false;
-          for (const RefineTask& task : refine_queue_) {
-            if (task.epoch == warm->epoch && !(task.key < key) &&
-                !(key < task.key)) {
-              duplicate = true;
-              break;
-            }
-          }
-          if (!duplicate) {
-            refine_queue_.push_back(
-                RefineTask{std::move(key), warm->epoch, request.trace_id});
-            enqueued = true;
-          }
-        }
-      }
-      if (enqueued) {
-        refine_cv_.notify_one();
-        MCFS_COUNT("serve/refines_enqueued", 1);
-        std::lock_guard<std::mutex> lock(report_mutex_);
-        stats_.refines_enqueued++;
-      }
+    if (pending.refine_enqueued) {
+      refine_lock.unlock();
+      refine_cv_.notify_one();
+      MCFS_COUNT("serve/refines_enqueued", 1);
     }
   }
   MCFS_COUNT("serve/tier_fast", 1);
@@ -1725,8 +1593,13 @@ void SolverService::RunRefinement(const RefineTask& task) {
     std::lock_guard<std::mutex> lock(report_mutex_);
     stats_.refine_discards++;
   };
-  std::shared_ptr<const WarmState> warm = SnapshotWarmState();
-  if (warm->epoch != task.epoch) {
+  // The request the fast answer served (fast plants are full-catalog by
+  // construction), viewed under the current epoch.
+  SolveRequest request;
+  request.customers = task.key.customers;
+  request.k = task.key.k;
+  const RequestView view = ViewOf(request);
+  if (view.warm->epoch != task.epoch) {
     // The catalog moved on; the entry this refinement would upgrade was
     // invalidated with its epoch. Solving against the new catalog would
     // answer a different question.
@@ -1735,31 +1608,18 @@ void SolverService::RunRefinement(const RefineTask& task) {
   }
   {
     std::lock_guard<std::mutex> lock(cache_mutex_);
-    const auto it = cache_.find(task.key);
-    if (cache_epoch_ != task.epoch || it == cache_.end() ||
-        it->second.tier != "fast") {
+    const CacheEntry* entry = FindLocked(task.key, task.epoch);
+    if (entry == nullptr || entry->tier != "fast") {
       // Evicted, invalidated, or a queued full solve already overtook
       // the upgrade — nothing left to refine.
       discard();
       return;
     }
   }
-  // Re-materialize the instance from the key under the epoch's catalog
-  // (fast plants are full-catalog by construction) and run the solve
-  // the SLA preempted, converged and deadline-free.
-  McfsInstance instance;
-  instance.graph = graph_;
-  instance.customers = task.key.customers;
-  instance.k = task.key.k;
-  instance.facility_nodes = warm->facility_nodes;
-  instance.capacities = warm->capacities;
-  WmaOptions wma = options_.wma;
-  wma.deadline_ms = 0;
-  wma.cancel = nullptr;
-  wma.trace_id = task.trace_id;
-  wma.matcher = task.key.matcher;
+  // Run the solve the SLA preempted, converged and deadline-free.
   WallTimer solve_timer;
-  WmaResult result = RunWma(instance, wma);
+  WmaResult result = RunWma(
+      view.instance, WmaOptionsFor(0, nullptr, task.trace_id, view.matcher));
   // Fast completions are excluded from the admission estimator;
   // refinements are where the fast tier teaches it what the full solve
   // it displaced actually costs.
@@ -1776,39 +1636,20 @@ void SolverService::RunRefinement(const RefineTask& task) {
     discard();
     return;
   }
-  bool verify_ran = false;
-  bool verify_ok = false;
+  CacheEntry refined{{}, std::move(result.stats), false, false, "full", 0.0,
+                     task.trace_id};
   if (options_.verify) {
-    const VerifyReport refined_verdict =
-        VerifySolution(instance, result.solution);
-    verify_ran = true;
-    verify_ok = refined_verdict.ok;
+    refined.verify_ran = true;
+    refined.verify_ok = VerifySolution(view.instance, result.solution).ok;
   }
+  refined.solution = std::move(result.solution);
   bool upgraded = false;
   {
     std::lock_guard<std::mutex> lock(cache_mutex_);
-    const auto it = cache_.find(task.key);
-    if (cache_epoch_ == task.epoch && it != cache_.end() &&
-        it->second.tier == "fast") {
-      // Upgrade in place: same key, same epoch; the trace id of the
-      // planting fast answer is kept — the refined entry is that
-      // request's converged continuation, not a new identity.
-      CacheEntry& entry = it->second;
-      entry.solution = std::move(result.solution);
-      entry.stats = std::move(result.stats);
-      entry.verify_ran = verify_ran;
-      entry.verify_ok = verify_ok;
-      entry.tier = "full";
-      entry.quality_bound = 0.0;
-      upgraded = true;
-    }
+    upgraded = UpgradeLocked(task.key, task.epoch, refined);
   }
   if (upgraded) {
-    MCFS_COUNT("serve/tier_upgrades", 1);
-    MCFS_RECORD("serve/cache_upgrade", static_cast<int64_t>(task.trace_id),
-                static_cast<int64_t>(task.epoch));
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.refine_upgrades++;
+    NoteUpgrade(task.trace_id, task.epoch);
   } else {
     discard();
   }
@@ -1822,34 +1663,19 @@ void SolverService::DrainRefinements() {
 
 CacheProbe SolverService::ProbeCache(const SolveRequest& request) const {
   CacheProbe probe;
-  std::shared_ptr<const WarmState> warm = SnapshotWarmState();
   // Same key derivation as Execute: the shape-resolved engine is part
-  // of the identity, so the probe must resolve it the same way.
-  MatchShape shape;
-  shape.customers = static_cast<int64_t>(request.customers.size());
-  if (request.facility_subset.empty()) {
-    shape.facilities = static_cast<int64_t>(warm->facility_nodes.size());
-    for (const int c : warm->capacities) shape.total_capacity += c;
-  } else {
-    shape.facilities = static_cast<int64_t>(request.facility_subset.size());
-    for (const int idx : request.facility_subset) {
-      if (idx >= 0 && idx < static_cast<int>(warm->capacities.size())) {
-        shape.total_capacity += warm->capacities[idx];
-      }
-    }
-  }
-  const MatcherBackendKind matcher =
-      ResolveMatcherBackend(options_.wma.matcher, shape);
+  // of the identity. An out-of-range subset is never cached.
+  const RequestView view = ViewOf(request);
+  if (!view.status.ok()) return probe;
   std::lock_guard<std::mutex> lock(cache_mutex_);
-  const auto it = cache_.find(CacheKey{request.customers, request.k,
-                                       request.facility_subset, matcher});
-  if (it == cache_.end()) return probe;
+  const CacheEntry* entry = FindLocked(view.key, cache_epoch_);
+  if (entry == nullptr) return probe;
   probe.present = true;
-  probe.tier = it->second.tier;
+  probe.tier = entry->tier;
   probe.epoch = cache_epoch_;
-  probe.trace_id = it->second.trace_id;
-  probe.quality_bound = it->second.quality_bound;
-  probe.verify_ok = it->second.verify_ok;
+  probe.trace_id = entry->trace_id;
+  probe.quality_bound = entry->quality_bound;
+  probe.verify_ok = entry->verify_ok;
   return probe;
 }
 
@@ -1903,12 +1729,12 @@ void SolverService::FinishRequest(PendingRequest& pending,
   const std::string tier =
       pending.request.tier.empty() ? std::string(kDefaultTier)
                                    : pending.request.tier;
+  if (response.cache_hit) MCFS_COUNT("serve/cache_hits", 1);
   {
     std::lock_guard<std::mutex> lock(report_mutex_);
-    const auto in_flight_it =
-        std::find(in_flight_.begin(), in_flight_.end(), response.trace_id);
-    if (in_flight_it != in_flight_.end()) in_flight_.erase(in_flight_it);
+    EraseInFlightLocked(response.trace_id);
     stats_.requests_completed++;
+    if (pending.refine_enqueued) stats_.refines_enqueued++;
     if (!response.status.ok()) stats_.requests_failed++;
     if (response.status.ok() && response.tier == "fast") {
       stats_.fast_responses++;

@@ -515,6 +515,9 @@ class SolverService {
     SolveRequest request;
     std::shared_ptr<ResponseHandle> handle;
     double admitted_at = 0.0;  // TraceNowUs-based, seconds
+    // The fast tier planted this request's cache entry and queued its
+    // refinement; FinishRequest counts it.
+    bool refine_enqueued = false;
   };
 
   // Cache key: the full request identity (no hashing collisions). The
@@ -554,11 +557,66 @@ class SolverService {
     uint64_t trace_id = 0;
   };
 
+  // Step 1 of the answer pipeline (DESIGN.md §4.9): everything a path
+  // derives from one request under one epoch snapshot.
+  struct RequestView {
+    std::shared_ptr<const WarmState> warm;
+    // The instance the response must match SolveWma on: the request's
+    // customers and k over the whole catalog or its subset slice.
+    McfsInstance instance;
+    // kInvalidInput when a subset index is outside the catalog.
+    Status status;
+    MatcherBackendKind matcher = MatcherBackendKind::kSspa;
+    CacheKey key;
+    int64_t deadline_ms = 0;
+    bool cacheable = false;
+  };
+
   std::shared_ptr<const WarmState> BuildWarmState(
       uint64_t epoch, std::vector<NodeId> facility_nodes,
       std::vector<int> capacities) const;
   void PublishWarmState(std::shared_ptr<const WarmState> state);
   std::shared_ptr<const WarmState> SnapshotWarmState() const;
+
+  RequestView ViewOf(const SolveRequest& request) const;
+  // The tracked population over the catalog of `warm`. Caller holds
+  // resolve_mutex_.
+  McfsInstance TrackedInstanceLocked(const WarmState& warm, int k) const;
+  // Step 2: WarmValidate, the cold ValidateInstance re-derivation of a
+  // rejection (byte-identical message), and SolveWma's m() == 0
+  // shortcut. True when the instance goes on to a solve; false when
+  // `response` already holds the answer (error status or trivial
+  // solution). Times the step into preprocess_seconds.
+  bool ValidatePrelude(const WarmState& warm, const McfsInstance& instance,
+                       const std::vector<int>& subset,
+                       SolveResponse* response) const;
+  // The per-solve WmaOptions copy. options_.wma.deadline is copied
+  // through deliberately (each copy has its own poll budget) — that is
+  // how tests plant AfterPolls expiries.
+  WmaOptions WmaOptionsFor(int64_t deadline_ms, const CancelToken* cancel,
+                           uint64_t trace_id,
+                           MatcherBackendKind matcher) const;
+
+  // Response cache. Each *Locked step runs with cache_mutex_ held; the
+  // callers choose how to take it (the fast tier only ever try-locks).
+  // Entries are only found under the epoch they were stored under.
+  const CacheEntry* FindLocked(const CacheKey& key, uint64_t epoch) const;
+  // Fills `response` from the entry for `view` (hits carry the entry's
+  // tier and bound). `lock` is a blocking or try lock on cache_mutex_;
+  // a failed try-lock is a miss. Released before returning, so the
+  // caller completes the handle outside the lock.
+  bool LookupCache(const RequestView& view, std::unique_lock<std::mutex> lock,
+                   SolveResponse* response) const;
+  // Inserts with FIFO eviction past cache_capacity. False (and `entry`
+  // untouched) when the key is taken or the epoch moved on.
+  bool InsertLocked(const CacheKey& key, CacheEntry& entry, uint64_t epoch);
+  // Replaces a "fast" entry with the converged `full` one in place,
+  // keeping the planting trace id. False when no fast entry is there.
+  bool UpgradeLocked(const CacheKey& key, uint64_t epoch, CacheEntry& full);
+  // Counter, flight event and stats of one in-place upgrade.
+  void NoteUpgrade(uint64_t trace_id, uint64_t epoch);
+  // Drops one in-flight marker if present. Caller holds report_mutex_.
+  void EraseInFlightLocked(uint64_t trace_id);
 
   void DispatcherLoop();
   void Execute(PendingRequest& pending);
@@ -569,11 +627,7 @@ class SolverService {
   // anytime answer if the independent verifier blesses it, else
   // synthesize a baseline fallback — always re-verified, never cached,
   // postmortem recorded. `rejected` marks the candidate untrusted.
-  // `nearest` forwards the epoch's precomputed nearest-facility result
-  // for full-catalog requests (null = recompute for the subset).
-  void DegradeResponse(const McfsInstance& instance,
-                       MatcherBackendKind matcher, uint64_t epoch_at,
-                       bool rejected, const MultiSourceResult* nearest,
+  void DegradeResponse(const RequestView& view, bool rejected,
                        SolveResponse* response);
   // Feasible fallback answer against the instance: Hilbert sweep when
   // the graph has coordinates, greedy k-median otherwise.
@@ -632,6 +686,27 @@ class SolverService {
   // (component, kind) bits flipped 0 -> 1. Caller holds resolve_mutex_.
   int MarkDirty(const std::vector<uint8_t>& stream_dirty,
                 const std::vector<uint8_t>& match_dirty);
+  void ClearDirtyLocked();
+  // UpdateCandidates' whole-catalog replacement against `warm`
+  // (UpdateCapacities reuses it with the current node list): validation
+  // with typed kInvalidInput, then the diff-based dirty rule. Caller
+  // holds update_mutex_ and resolve_mutex_.
+  Status ReplaceCatalogLocked(const WarmState& warm,
+                              std::vector<NodeId> facility_nodes,
+                              std::vector<int> capacities);
+  // The one update commit, shared by every update API: a state equal to
+  // `warm` and the tracked population is a no-op (epoch, cache and seed
+  // kept); otherwise the dirty bits accumulate, a changed catalog is
+  // rebuilt and published at the next epoch, and the tracked population
+  // is adopted. Caller holds update_mutex_ and resolve_mutex_.
+  UpdateResult CommitUpdateLocked(const WarmState& warm,
+                                  std::vector<NodeId> facility_nodes,
+                                  std::vector<int> capacities,
+                                  std::vector<NodeId> tracked,
+                                  const std::vector<uint8_t>& stream_dirty,
+                                  const std::vector<uint8_t>& match_dirty,
+                                  int ops_applied);
+  void AdoptTrackedLocked(std::vector<NodeId> tracked);
 
   // SLO report rows with burn rates. Caller holds report_mutex_.
   std::vector<SloReport> SloRowsLocked() const;

@@ -17,6 +17,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -27,6 +30,7 @@
 #include "mcfs/core/wma.h"
 #include "mcfs/flow/matcher.h"
 #include "mcfs/graph/graph.h"
+#include "mcfs/obs/metrics.h"
 #include "mcfs/serve/solver_service.h"
 #include "tests/test_util.h"
 
@@ -466,6 +470,121 @@ TEST(ResolveEquivalence, RandomDeltaSequencesMatchColdAcrossThreadCounts) {
         report.warm_customers_reused + report.warm_customers_repaired;
   }
   EXPECT_GT(reused_or_repaired, 0);
+}
+
+// --- One update path ---
+
+// UpdateCapacities and the equivalent kCapacityDelta op list go through
+// the same commit: same epoch, same dirty bits, and the next warm
+// re-solve serves the same bytes down the same path.
+TEST(ResolveUpdates, CapacityVectorAndDeltaOpsCommitIdentically) {
+  ResolveFixture fx(41);
+  auto by_vector = fx.MakeService();
+  auto by_ops = fx.MakeService();
+  const int k = 6;
+  for (SolverService* service : {by_vector.get(), by_ops.get()}) {
+    ASSERT_TRUE(service->ApplyUpdate(fx.ArriveAll()).ok());
+    ASSERT_TRUE(service->ResolveTracked(k).status.ok());
+  }
+
+  // Increases (match-dirtying), a decrease, and untouched facilities.
+  std::vector<int> caps = fx.di.capacities;
+  caps[0] += 2;
+  caps[3] -= 1;
+  caps[5] += 1;
+  UpdateRequest delta;
+  for (size_t j = 0; j < caps.size(); ++j) {
+    if (caps[j] != fx.di.capacities[j]) {
+      delta.ops.push_back({UpdateKind::kCapacityDelta, fx.di.facility_nodes[j],
+                           caps[j] - fx.di.capacities[j]});
+    }
+  }
+  ASSERT_TRUE(by_vector->UpdateCapacities(caps).ok());
+  StatusOr<UpdateResult> applied = by_ops->ApplyUpdate(delta);
+  ASSERT_TRUE(applied.ok());
+  EXPECT_TRUE(applied.value().epoch_bumped);
+
+  EXPECT_EQ(by_vector->epoch(), by_ops->epoch());
+  EXPECT_EQ(by_vector->Report().resolve_components_dirtied,
+            by_ops->Report().resolve_components_dirtied);
+  EXPECT_GE(by_ops->Report().resolve_components_dirtied, 1);
+
+  const SolveResponse a = by_vector->ResolveTracked(k);
+  const SolveResponse b = by_ops->ResolveTracked(k);
+  ASSERT_TRUE(a.status.ok()) << a.status.message();
+  ASSERT_TRUE(b.status.ok()) << b.status.message();
+  EXPECT_TRUE(a.warm_attempted);
+  EXPECT_EQ(a.warm_served, b.warm_served);
+  EXPECT_EQ(a.epoch, b.epoch);
+  EXPECT_EQ(a.solution.selected, b.solution.selected);
+  EXPECT_EQ(a.solution.assignment, b.solution.assignment);
+  EXPECT_EQ(a.solution.distances, b.solution.distances);
+  EXPECT_EQ(a.solution.objective, b.solution.objective);
+}
+
+// The warm seed a chain of re-solves carries is the logical stream
+// state, whatever the prefetch ran ahead to: a churn chain exports the
+// same seed (checkpoint bytes) and charges the same logical stream work
+// at one solver thread and at four.
+TEST(ResolveEquivalence, ChurnChainSeedAndCountersIgnoreThreadCount) {
+  struct Chain {
+    std::string checkpoint;
+    std::map<std::string, int64_t> counters;
+  };
+  const auto run_chain = [](int threads) {
+    ResolveFixture fx(44, /*n=*/400, /*m=*/90, /*l=*/18, /*max_capacity=*/4);
+    ServiceOptions options;
+    options.wma.threads = threads;
+    options.wma.metrics = true;
+    auto service = fx.MakeService(options);
+    obs::ResetMetrics();
+    EXPECT_TRUE(service->ApplyUpdate(fx.ArriveAll()).ok());
+    const int k = 16;
+    Rng rng(77);
+    size_t next_free = 0;
+    for (int epoch = 0; epoch < 10; ++epoch) {
+      const SolveResponse response = service->ResolveTracked(k);
+      EXPECT_TRUE(response.status.ok()) << response.status.message();
+      UpdateRequest delta;
+      McfsInstance current = service->TrackedInstance(k);
+      const int churn = std::max<int>(1, current.customers.size() / 10);
+      for (const int idx : rng.SampleWithoutReplacement(
+               static_cast<int>(current.customers.size()), churn)) {
+        delta.ops.push_back(
+            {UpdateKind::kCustomerDepart, current.customers[idx], 0});
+      }
+      for (int a = 0; a < churn && next_free < fx.di.free_nodes.size(); ++a) {
+        delta.ops.push_back(
+            {UpdateKind::kCustomerArrive, fx.di.free_nodes[next_free++], 0});
+      }
+      const NodeId dock = fx.di.facility_nodes[rng.UniformInt(
+          0, static_cast<int64_t>(fx.di.facility_nodes.size()) - 1)];
+      delta.ops.push_back(
+          {UpdateKind::kCapacityDelta, dock, epoch % 2 == 0 ? 1 : -1});
+      EXPECT_TRUE(service->ApplyUpdate(delta).ok());
+    }
+    EXPECT_TRUE(service->ResolveTracked(k).status.ok());
+    Chain chain;
+    for (const auto& [name, value] : obs::SnapshotMetrics().counters) {
+      if (name.rfind("stream/", 0) == 0) chain.counters[name] = value;
+    }
+    obs::EnableMetrics(false);
+    const std::string path = ::testing::TempDir() + "resolve_chain_t" +
+                             std::to_string(threads) + ".ckpt";
+    EXPECT_TRUE(service->CheckpointTo(path).ok());
+    std::ifstream in(path, std::ios::binary);
+    chain.checkpoint.assign(std::istreambuf_iterator<char>(in), {});
+    return chain;
+  };
+
+  const Chain serial = run_chain(1);
+  const Chain parallel = run_chain(4);
+  ASSERT_GT(serial.counters.count("stream/edges_relaxed"), 0u);
+  EXPECT_GT(serial.counters.at("stream/edges_relaxed"), 0);
+  EXPECT_EQ(parallel.counters, serial.counters);
+  // The checkpoint carries the clean seed the last resolve exported.
+  EXPECT_NE(serial.checkpoint.find("warmseed "), std::string::npos);
+  EXPECT_EQ(parallel.checkpoint, serial.checkpoint);
 }
 
 }  // namespace
