@@ -3,19 +3,22 @@
 // repeatedly... depending on which customers declare interest").
 // Simulates a stream of customer arrivals/departures on a city network
 // and compares:
-//   * full      — a fresh WMA selection at every event;
-//   * dynamic   — DynamicMcfs: keep the selection while it stays within
-//                 a cost ratio of the last full solve, otherwise
-//                 re-select (the warm-start policy);
-// reporting total time, re-selection count, and the average objective
-// ratio versus the always-fresh reference.
+//   * fresh    — a fresh WMA selection at every event;
+//   * service  — SolverService: each event is one kCustomerArrive or
+//                kCustomerDepart op followed by ResolveTracked(k), which
+//                repairs the previous event's matching from its warm
+//                seed (verifier-guarded, cold on a rejection);
+// reporting total time, warm-served and cold resolve counts, and the
+// average objective ratio versus the always-fresh reference. Exits 1
+// when any event's response is not OK and verifier-clean.
 
 #include <algorithm>
+#include <iterator>
 
 #include "bench/bench_util.h"
 #include "mcfs/common/timer.h"
-#include "mcfs/core/dynamic.h"
 #include "mcfs/graph/road_network.h"
+#include "mcfs/serve/solver_service.h"
 #include "mcfs/workload/workload.h"
 
 int main(int argc, char** argv) {
@@ -34,49 +37,74 @@ int main(int argc, char** argv) {
   std::printf("city n=%d, l=%d candidates, k=%d, %d events\n",
               city.NumNodes(), l, k, events);
 
-  // Pre-generate the event stream so both strategies see the same one.
+  // Pre-generate the event stream so both strategies see the same one:
+  // arrivals carry their node, departures the node of the customer that
+  // leaves.
   struct Event {
     bool arrival;
     NodeId node;
   };
   std::vector<Event> stream;
-  for (int e = 0; e < events; ++e) {
-    const bool arrival = e < 20 || rng.NextDouble() < 0.65;
-    stream.push_back(
-        {arrival, static_cast<NodeId>(rng.UniformInt(0, city.NumNodes() - 1))});
+  {
+    std::vector<NodeId> active;
+    Rng removal(bench.seed + 2);
+    for (int e = 0; e < events; ++e) {
+      const bool arrival = e < 20 || rng.NextDouble() < 0.65;
+      const NodeId node =
+          static_cast<NodeId>(rng.UniformInt(0, city.NumNodes() - 1));
+      if (arrival || active.empty()) {
+        active.push_back(node);
+        stream.push_back({true, node});
+      } else {
+        const size_t pick = removal.UniformInt(0, active.size() - 1);
+        stream.push_back({false, active[pick]});
+        active.erase(active.begin() + pick);
+      }
+    }
   }
 
-  // --- dynamic strategy ---
-  DynamicOptions dynamic_options;
-  dynamic_options.wma.matcher = bench.matcher;
-  DynamicMcfs dynamic(&city, facilities, capacities, k, dynamic_options);
-  std::vector<int> ids;
-  Rng removal(bench.seed + 2);
-  std::vector<double> dynamic_objectives;
+  // --- service strategy ---
+  ServiceOptions options;
+  options.wma.matcher = bench.matcher;
+  options.verify = true;
+  SolverService service(&city, facilities, capacities, options);
+  std::vector<double> service_objectives;
+  int warm_served = 0;
+  int bad_events = 0;
   WallTimer timer;
-  for (const Event& event : stream) {
-    if (event.arrival || ids.empty()) {
-      ids.push_back(dynamic.AddCustomer(event.node));
-    } else {
-      const size_t pick = removal.UniformInt(0, ids.size() - 1);
-      dynamic.RemoveCustomer(ids[pick]);
-      ids.erase(ids.begin() + pick);
+  for (size_t e = 0; e < stream.size(); ++e) {
+    UpdateRequest update;
+    update.ops.push_back({stream[e].arrival ? UpdateKind::kCustomerArrive
+                                            : UpdateKind::kCustomerDepart,
+                          stream[e].node, 0});
+    const StatusOr<UpdateResult> applied = service.ApplyUpdate(update);
+    const SolveResponse response = service.ResolveTracked(k);
+    if (!applied.ok() || !response.status.ok() || !response.verify_ran ||
+        !response.verify_ok) {
+      ++bad_events;
+      std::printf("event %zu: update %s, resolve %s, verify_ran=%d ok=%d\n",
+                  e, applied.status().ToString().c_str(),
+                  response.status.ToString().c_str(),
+                  response.verify_ran ? 1 : 0, response.verify_ok ? 1 : 0);
     }
-    dynamic_objectives.push_back(dynamic.Resolve().objective);
+    if (response.warm_served) ++warm_served;
+    service_objectives.push_back(response.solution.objective);
   }
-  const double dynamic_seconds = timer.Seconds();
+  const double service_seconds = timer.Seconds();
 
   // --- always-fresh reference ---
   std::vector<NodeId> active;
-  Rng removal2(bench.seed + 2);
-  std::vector<double> full_objectives;
+  std::vector<double> fresh_objectives;
   timer.Restart();
   for (const Event& event : stream) {
-    if (event.arrival || active.empty()) {
+    if (event.arrival) {
       active.push_back(event.node);
     } else {
-      const size_t pick = removal2.UniformInt(0, active.size() - 1);
-      active.erase(active.begin() + pick);
+      // The service departs the latest customer on the node; so does
+      // the reference, which keeps both instances identical.
+      active.erase(
+          std::prev(std::find(active.rbegin(), active.rend(), event.node)
+                        .base()));
     }
     McfsInstance instance;
     instance.graph = &city;
@@ -84,31 +112,34 @@ int main(int argc, char** argv) {
     instance.facility_nodes = facilities;
     instance.capacities = capacities;
     instance.k = k;
-    full_objectives.push_back(RunWma(instance).solution.objective);
+    fresh_objectives.push_back(RunWma(instance).solution.objective);
   }
-  const double full_seconds = timer.Seconds();
+  const double fresh_seconds = timer.Seconds();
 
   double ratio_sum = 0.0;
   int ratio_count = 0;
-  for (size_t e = 0; e < full_objectives.size(); ++e) {
-    if (full_objectives[e] > 0.0) {
-      ratio_sum += dynamic_objectives[e] / full_objectives[e];
+  for (size_t e = 0; e < fresh_objectives.size(); ++e) {
+    if (fresh_objectives[e] > 0.0) {
+      ratio_sum += service_objectives[e] / fresh_objectives[e];
       ++ratio_count;
     }
   }
+  const double ratio = ratio_count ? ratio_sum / ratio_count : 1.0;
 
-  Table table({"strategy", "total time", "full solves",
-               "incremental solves", "avg objective vs fresh"});
-  table.AddRow({"fresh WMA each event", FmtSeconds(full_seconds),
-                FmtInt(events), "0", "1.00x"});
-  table.AddRow({"DynamicMcfs (warm)", FmtSeconds(dynamic_seconds),
-                FmtInt(dynamic.full_solves()),
-                FmtInt(dynamic.incremental_solves()),
-                FmtDouble(ratio_count ? ratio_sum / ratio_count : 0.0, 3) +
-                    "x"});
+  Table table({"strategy", "total time", "warm-served", "cold",
+               "avg objective vs fresh"});
+  table.AddRow({"fresh WMA each event", FmtSeconds(fresh_seconds), "0",
+                FmtInt(events), "1.00x"});
+  table.AddRow({"SolverService ResolveTracked", FmtSeconds(service_seconds),
+                FmtInt(warm_served), FmtInt(events - warm_served),
+                FmtDouble(ratio, 3) + "x"});
   table.Print();
   std::printf("speedup: %.1fx with %.1f%% average objective overhead\n",
-              full_seconds / std::max(dynamic_seconds, 1e-9),
-              100.0 * ((ratio_count ? ratio_sum / ratio_count : 1.0) - 1.0));
+              fresh_seconds / std::max(service_seconds, 1e-9),
+              100.0 * (ratio - 1.0));
+  if (bad_events > 0) {
+    std::printf("%d event(s) not OK and verifier-clean\n", bad_events);
+    return 1;
+  }
   return 0;
 }

@@ -72,6 +72,7 @@
 #include "mcfs/common/fault_plan.h"
 #include "mcfs/common/timer.h"
 #include "mcfs/graph/road_network.h"
+#include "mcfs/obs/flight_recorder.h"
 #include "mcfs/serve/checkpoint.h"
 #include "mcfs/serve/solver_service.h"
 #include "mcfs/workload/bike_sim.h"
@@ -861,7 +862,7 @@ int main(int argc, char** argv) {
   const std::string postmortem_out = flags.GetString("postmortem-out", "");
   if (!postmortem_out.empty()) {
     ServiceOptions probe = options;
-    probe.flight_recorder = true;
+    obs::EnableFlightRecorder(true);
     probe.postmortem_path = postmortem_out;
     probe.wma.deadline = Deadline::AfterPolls(2);
     SolverService probe_service(&city, facilities, capacities, probe);

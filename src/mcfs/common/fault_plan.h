@@ -12,9 +12,8 @@ namespace mcfs {
 // Deterministic fault-injection schedule (DESIGN.md §4.13).
 //
 // Production failure paths are worthless untested, and timing-based
-// chaos is unreproducible. A FaultPlan generalizes the two ad-hoc test
-// hooks that existed before it (Deadline::AfterPolls planted in
-// WmaOptions, ServiceOptions::inject_verify_failures) into one seeded
+// chaos is unreproducible. A FaultPlan generalizes the ad-hoc
+// Deadline::AfterPolls hook planted in WmaOptions into one seeded
 // schedule: each *site* that can fail polls the plan, and whether the
 // i-th poll of a given fault kind fires is a pure function of
 // (seed, kind, i) — the same seed replays the same fault sequence, on

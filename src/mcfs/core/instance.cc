@@ -1,12 +1,12 @@
 #include "mcfs/core/instance.h"
 
-#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <set>
 #include <sstream>
 
 #include "mcfs/common/thread_pool.h"
+#include "mcfs/core/validate.h"
 #include "mcfs/flow/matcher.h"
 #include "mcfs/flow/matcher_backend.h"
 #include "mcfs/graph/dijkstra.h"
@@ -90,30 +90,10 @@ ValidationResult ValidateSolution(const McfsInstance& instance,
 
 bool IsFeasible(const McfsInstance& instance) {
   if (instance.k > instance.l()) return false;
-  const ComponentLabeling components = ConnectedComponents(*instance.graph);
-  std::vector<int64_t> customers_in(components.num_components, 0);
-  for (const NodeId c : instance.customers) {
-    customers_in[components.component_of[c]]++;
-  }
-  std::vector<std::vector<int>> capacities_in(components.num_components);
-  for (int j = 0; j < instance.l(); ++j) {
-    capacities_in[components.component_of[instance.facility_nodes[j]]]
-        .push_back(instance.capacities[j]);
-  }
-  int64_t required = 0;
-  for (int g = 0; g < components.num_components; ++g) {
-    if (customers_in[g] == 0) continue;
-    auto& caps = capacities_in[g];
-    std::sort(caps.begin(), caps.end(), std::greater<int>());
-    int64_t remaining = customers_in[g];
-    for (const int c : caps) {
-      if (remaining <= 0) break;
-      remaining -= c;
-      ++required;
-    }
-    if (remaining > 0) return false;  // component cannot be covered
-  }
-  return required <= instance.k;
+  const CapacityAccounting accounting =
+      AccountCapacity(instance, ConnectedComponents(*instance.graph));
+  return accounting.infeasible_components.empty() &&
+         accounting.required_facilities <= instance.k;
 }
 
 McfsSolution AssignOptimally(const McfsInstance& instance,

@@ -1,9 +1,10 @@
 #include "mcfs/core/validate.h"
 
 #include <algorithm>
-#include <functional>
+#include <cstdint>
+#include <numeric>
 #include <sstream>
-#include <unordered_set>
+#include <utility>
 
 namespace mcfs {
 
@@ -32,7 +33,57 @@ std::string InstanceDiagnosis::ToString() const {
   return out.str();
 }
 
-InstanceDiagnosis DiagnoseInstance(const McfsInstance& instance) {
+CapacityAccounting AccountCapacity(const McfsInstance& instance,
+                                   const ComponentLabeling& components) {
+  const int num_components = components.num_components;
+  std::vector<int64_t> customers_in(num_components, 0);
+  for (const NodeId c : instance.customers) {
+    customers_in[components.component_of[c]]++;
+  }
+  // Capacities grouped by component (a counting sort): component g's
+  // facilities hold caps[begin[g], begin[g + 1]).
+  std::vector<int> begin(num_components + 1, 0);
+  for (const NodeId node : instance.facility_nodes) {
+    begin[components.component_of[node] + 1]++;
+  }
+  for (int g = 0; g < num_components; ++g) begin[g + 1] += begin[g];
+  std::vector<int> caps(instance.facility_nodes.size());
+  std::vector<int> next(begin.begin(), begin.end() - 1);
+  for (int j = 0; j < instance.l(); ++j) {
+    caps[next[components.component_of[instance.facility_nodes[j]]]++] =
+        instance.capacities[j];
+  }
+  CapacityAccounting accounting;
+  for (int g = 0; g < num_components; ++g) {
+    if (customers_in[g] == 0) continue;
+    const auto first = caps.begin() + begin[g];
+    auto last = caps.begin() + begin[g + 1];
+    ComponentDiagnosis cd;
+    cd.component = g;
+    cd.customers = customers_in[g];
+    cd.num_facilities = begin[g + 1] - begin[g];
+    cd.capacity_sum = std::accumulate(first, last, int64_t{0});
+    // Largest capacities first until the demand is met: a max-heap pops
+    // only the facilities the count needs instead of sorting them all.
+    std::make_heap(first, last);
+    int64_t remaining = cd.customers;
+    while (remaining > 0 && first != last) {
+      std::pop_heap(first, last--);
+      remaining -= *last;
+      ++cd.min_facilities_needed;
+    }
+    if (remaining > 0) {
+      cd.min_facilities_needed = -1;
+      accounting.infeasible_components.push_back(cd);
+    } else {
+      accounting.required_facilities += cd.min_facilities_needed;
+    }
+  }
+  return accounting;
+}
+
+InstanceDiagnosis DiagnoseInstance(const McfsInstance& instance,
+                                   const ComponentLabeling* components) {
   InstanceDiagnosis diagnosis;
   diagnosis.total_demand = instance.m();
 
@@ -62,16 +113,20 @@ InstanceDiagnosis DiagnoseInstance(const McfsInstance& instance) {
                          std::to_string(num_nodes) + ")");
     }
   }
-  std::unordered_set<NodeId> seen_facility_nodes;
+  // A node bitmap, not a hash set: the solver service validates every
+  // request, and l hash inserts cost more than an n-byte clear there.
+  std::vector<uint8_t> seen_facility_node(num_nodes, 0);
   for (int j = 0; j < instance.l(); ++j) {
     const NodeId node = instance.facility_nodes[j];
     if (node < 0 || node >= num_nodes) {
       problems.push_back("facility " + std::to_string(j) + " at node " +
                          std::to_string(node) + " out of range [0, " +
                          std::to_string(num_nodes) + ")");
-    } else if (!seen_facility_nodes.insert(node).second) {
+    } else if (seen_facility_node[node] != 0) {
       problems.push_back("duplicate facility node " + std::to_string(node) +
                          " (facility " + std::to_string(j) + ")");
+    } else {
+      seen_facility_node[node] = 1;
     }
     if (j < static_cast<int>(instance.capacities.size()) &&
         instance.capacities[j] < 0) {
@@ -88,42 +143,17 @@ InstanceDiagnosis DiagnoseInstance(const McfsInstance& instance) {
   }
   for (const int c : instance.capacities) diagnosis.total_capacity += c;
 
-  // --- Feasibility (kInfeasible): the Theorem-3 accounting from
-  // IsFeasible, kept in lockstep with it, but retaining the per-component
-  // evidence instead of a bare bool.
-  const ComponentLabeling components = ConnectedComponents(*instance.graph);
-  std::vector<int64_t> customers_in(components.num_components, 0);
-  for (const NodeId c : instance.customers) {
-    customers_in[components.component_of[c]]++;
+  // --- Feasibility (kInfeasible): the Theorem-3 accounting, with the
+  // per-component evidence kept.
+  ComponentLabeling computed;
+  if (components == nullptr) {
+    computed = ConnectedComponents(*instance.graph);
+    components = &computed;
   }
-  std::vector<std::vector<int>> capacities_in(components.num_components);
-  for (int j = 0; j < instance.l(); ++j) {
-    capacities_in[components.component_of[instance.facility_nodes[j]]]
-        .push_back(instance.capacities[j]);
-  }
-  for (int g = 0; g < components.num_components; ++g) {
-    if (customers_in[g] == 0) continue;
-    std::vector<int>& caps = capacities_in[g];
-    std::sort(caps.begin(), caps.end(), std::greater<int>());
-    ComponentDiagnosis cd;
-    cd.component = g;
-    cd.customers = customers_in[g];
-    cd.num_facilities = static_cast<int>(caps.size());
-    int64_t remaining = cd.customers;
-    for (const int c : caps) {
-      cd.capacity_sum += c;
-      if (remaining > 0) {
-        remaining -= c;
-        ++cd.min_facilities_needed;
-      }
-    }
-    if (remaining > 0) {
-      cd.min_facilities_needed = -1;
-      diagnosis.infeasible_components.push_back(cd);
-    } else {
-      diagnosis.required_facilities += cd.min_facilities_needed;
-    }
-  }
+  CapacityAccounting accounting = AccountCapacity(instance, *components);
+  diagnosis.infeasible_components =
+      std::move(accounting.infeasible_components);
+  diagnosis.required_facilities = accounting.required_facilities;
   if (!diagnosis.infeasible_components.empty()) {
     std::ostringstream msg;
     msg << diagnosis.infeasible_components.size()

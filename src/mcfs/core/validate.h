@@ -46,13 +46,30 @@ struct InstanceDiagnosis {
   std::string ToString() const;
 };
 
+// The Theorem-3 capacity accounting behind both DiagnoseInstance and
+// IsFeasible: customers are counted per component of `components`, and
+// each component holding customers takes its facilities' capacities
+// largest first until they reach its demand. Node ids must be in range.
+struct CapacityAccounting {
+  // Components whose total capacity falls short, in component order.
+  std::vector<ComponentDiagnosis> infeasible_components;
+  // Sum of min_facilities_needed over the coverable components.
+  int required_facilities = 0;
+};
+CapacityAccounting AccountCapacity(const McfsInstance& instance,
+                                   const ComponentLabeling& components);
+
 // Diagnoses an instance. Structural defects (null/empty graph, k < 0,
 // out-of-range customer or facility nodes, duplicate facility nodes,
 // negative capacities) yield kInvalidInput and fill `problems`;
 // structurally sound but unsolvable instances yield kInfeasible with
 // per-component deficits. Agrees with IsFeasible on the verdict for
-// structurally valid instances.
-InstanceDiagnosis DiagnoseInstance(const McfsInstance& instance);
+// structurally valid instances. `components` is the labeling of
+// instance.graph when the caller already holds it (the solver service
+// keeps one per epoch); null computes it here.
+InstanceDiagnosis DiagnoseInstance(const McfsInstance& instance,
+                                   const ComponentLabeling* components =
+                                       nullptr);
 
 // Convenience wrapper: just the Status of DiagnoseInstance.
 Status ValidateInstance(const McfsInstance& instance);

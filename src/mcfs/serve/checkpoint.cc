@@ -127,10 +127,30 @@ Status ReadWarmSeed(CheckpointReader& reader, WarmSeed* seed) {
       keyword != "warmseed") {
     return reader.Error("expected 'warmseed <customers> <facilities>'");
   }
-  seed->customers.resize(num_customers);
-  for (WarmSeedCustomer& customer : seed->customers) {
+  // Records are appended one by one, never sized from a count read off
+  // the file: a corrupted count runs out of lines (Truncated) instead of
+  // allocating it up front.
+  const auto read_edges = [&](size_t count,
+                              std::vector<WarmSeedEdge>* edges) -> Status {
+    for (size_t e = 0; e < count; ++e) {
+      if (!reader.NextPayload(&line)) return reader.Truncated("edge record");
+      std::istringstream es(line);
+      std::string weight_hex;
+      WarmSeedEdge edge;
+      int matched = 0;
+      if (!(es >> keyword >> edge.facility_node >> weight_hex >> matched) ||
+          keyword != "edge" || !HexDouble(weight_hex, &edge.weight)) {
+        return reader.Error("malformed edge record");
+      }
+      edge.matched = matched != 0;
+      edges->push_back(edge);
+    }
+    return OkStatus();
+  };
+  for (size_t i = 0; i < num_customers; ++i) {
     if (!reader.NextPayload(&line)) return reader.Truncated("cust record");
     std::istringstream cust(line);
+    WarmSeedCustomer customer;
     std::string potential_hex;
     std::string next_hex;
     size_t num_edges = 0;
@@ -145,33 +165,24 @@ Status ReadWarmSeed(CheckpointReader& reader, WarmSeed* seed) {
     }
     customer.stream_exhausted = exhausted != 0;
     customer.has_next = has_next != 0;
-    customer.edges.resize(num_edges);
-    customer.buffered.resize(num_buffered);
-    for (size_t e = 0; e < num_edges + num_buffered; ++e) {
-      WarmSeedEdge& edge = e < num_edges ? customer.edges[e]
-                                         : customer.buffered[e - num_edges];
-      if (!reader.NextPayload(&line)) return reader.Truncated("edge record");
-      std::istringstream es(line);
-      std::string weight_hex;
-      int matched = 0;
-      if (!(es >> keyword >> edge.facility_node >> weight_hex >> matched) ||
-          keyword != "edge" || !HexDouble(weight_hex, &edge.weight)) {
-        return reader.Error("malformed edge record");
-      }
-      edge.matched = matched != 0;
-    }
+    Status status = read_edges(num_edges, &customer.edges);
+    if (!status.ok()) return status;
+    status = read_edges(num_buffered, &customer.buffered);
+    if (!status.ok()) return status;
+    seed->customers.push_back(std::move(customer));
   }
-  seed->facility_nodes.resize(num_facilities);
-  seed->facility_potentials.resize(num_facilities);
   for (size_t j = 0; j < num_facilities; ++j) {
     if (!reader.NextPayload(&line)) return reader.Truncated("fac record");
     std::istringstream fac(line);
+    NodeId node = -1;
+    double potential = 0.0;
     std::string potential_hex;
-    if (!(fac >> keyword >> seed->facility_nodes[j] >> potential_hex) ||
-        keyword != "fac" ||
-        !HexDouble(potential_hex, &seed->facility_potentials[j])) {
+    if (!(fac >> keyword >> node >> potential_hex) || keyword != "fac" ||
+        !HexDouble(potential_hex, &potential)) {
       return reader.Error("malformed fac record");
     }
+    seed->facility_nodes.push_back(node);
+    seed->facility_potentials.push_back(potential);
   }
   return OkStatus();
 }
@@ -266,14 +277,16 @@ StatusOr<ServiceCheckpoint> ReadServiceCheckpoint(const std::string& path) {
       return reader.Error("expected 'catalog <l>'");
     }
   }
-  checkpoint.facility_nodes.resize(catalog_size);
-  checkpoint.capacities.resize(catalog_size);
   for (size_t j = 0; j < catalog_size; ++j) {
     if (!reader.NextPayload(&line)) return reader.Truncated("catalog record");
     std::istringstream in(line);
-    if (!(in >> checkpoint.facility_nodes[j] >> checkpoint.capacities[j])) {
+    NodeId node = -1;
+    int capacity = 0;
+    if (!(in >> node >> capacity)) {
       return reader.Error("malformed catalog record");
     }
+    checkpoint.facility_nodes.push_back(node);
+    checkpoint.capacities.push_back(capacity);
   }
   size_t tracked_size = 0;
   if (!reader.NextPayload(&line)) return reader.Truncated("tracked header");
@@ -283,13 +296,14 @@ StatusOr<ServiceCheckpoint> ReadServiceCheckpoint(const std::string& path) {
       return reader.Error("expected 'tracked <m>'");
     }
   }
-  checkpoint.tracked_customers.resize(tracked_size);
   for (size_t i = 0; i < tracked_size; ++i) {
     if (!reader.NextPayload(&line)) return reader.Truncated("tracked record");
     std::istringstream in(line);
-    if (!(in >> checkpoint.tracked_customers[i])) {
+    NodeId node = -1;
+    if (!(in >> node)) {
       return reader.Error("malformed tracked customer record");
     }
+    checkpoint.tracked_customers.push_back(node);
   }
   if (!reader.NextPayload(&line)) return reader.Truncated("seed header");
   {

@@ -96,7 +96,7 @@ struct ServiceReport {
 
   // --- Fault-tolerant serving (DESIGN.md §4.13) ---
   int64_t degraded_responses = 0;  // responses served tier=degraded
-  int64_t degraded_fallbacks = 0;  // of those, synthesized baselines
+  int64_t degraded_fallbacks = 0;  // of those, rung-2 cheap answers
   int64_t checkpoints_saved = 0;
   int64_t checkpoints_restored = 0;
   int64_t checkpoint_failures = 0;  // failed saves + failed restores

@@ -9,13 +9,10 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
-#include <functional>
 #include <sstream>
 #include <tuple>
 #include <utility>
 
-#include "mcfs/baselines/greedy_kmedian.h"
-#include "mcfs/baselines/hilbert_baseline.h"
 #include "mcfs/common/check.h"
 #include "mcfs/common/thread_pool.h"
 #include "mcfs/common/timer.h"
@@ -58,6 +55,77 @@ struct ScopeExit {
 template <typename F>
 ScopeExit<F> OnScopeExit(F fn) {
   return {std::move(fn)};
+}
+
+// objective / (capacity- and budget-relaxed lower bound), the quality
+// bound of degraded and fast answers: the lower bound serves every
+// customer at its nearest instance facility, read off `nearest` (a
+// multi-source Dijkstra from instance.facility_nodes).
+double NearestFacilityQualityBound(const McfsInstance& instance,
+                                   double objective,
+                                   const MultiSourceResult& nearest) {
+  double lower = 0.0;
+  for (const NodeId c : instance.customers) {
+    const double d = nearest.distance[c];
+    if (std::isfinite(d)) lower += d;
+  }
+  if (objective <= lower) return 1.0;
+  // Degenerate: every customer co-located with a facility makes the
+  // relaxed bound 0 while capacity overflow can still force a positive
+  // objective. objective / 0 would be inf (JSON nulls it, comparisons
+  // and SLO accounting misread it) — report the defined sentinel
+  // instead, distinguishable from both real bounds (>= 1) and "no
+  // bound computed" (0).
+  if (lower <= 0.0) return kDegenerateQualityBound;
+  return objective / lower;
+}
+
+// The cheap-answer step (DESIGN.md §4.14), the only cheap answer the
+// service gives: the fast tier serves it, and so does rung 2 of the
+// degradation ladder. Demand-ranked top-k slate over `nearest` — each
+// facility scored by how many customers it is nearest to, ties by
+// index — then component-coverage repair, the bounded-work greedy
+// matcher and targeted verification. False when no verified feasible
+// answer came out; otherwise `solution` and its `quality_bound`.
+bool CheapAnswer(const McfsInstance& instance,
+                 const MultiSourceResult& nearest, McfsSolution* solution,
+                 double* quality_bound) {
+  const int catalog = instance.l();
+  const int budget = std::min(instance.k, catalog);
+  std::vector<int64_t> demand(catalog, 0);
+  for (const NodeId c : instance.customers) {
+    const int f = nearest.nearest_index[c];
+    if (f >= 0) demand[f]++;
+  }
+  std::vector<int> order(catalog);
+  for (int j = 0; j < catalog; ++j) order[j] = j;
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    if (demand[a] != demand[b]) return demand[a] > demand[b];
+    return a < b;
+  });
+  std::vector<int> selected(order.begin(), order.begin() + budget);
+  if (!CoverComponents(instance, selected)) return false;
+  const FastMatchResult match =
+      FastGreedyMatch(*instance.graph, instance.customers,
+                      instance.facility_nodes, instance.capacities, selected);
+  if (!match.all_assigned) return false;
+  McfsSolution answer;
+  answer.selected = std::move(selected);
+  answer.assignment = match.assignment;
+  answer.distances = match.distances;
+  answer.objective = match.total_cost;
+  answer.feasible = true;
+  answer.termination = Termination::kConverged;
+  // Never served unchecked. The targeted strategy keeps the check
+  // sub-millisecond: per-customer early-exit searches instead of one
+  // full Dijkstra per facility.
+  VerifyOptions targeted;
+  targeted.targeted = true;
+  if (!VerifySolution(instance, answer, targeted).ok) return false;
+  *quality_bound =
+      NearestFacilityQualityBound(instance, answer.objective, nearest);
+  *solution = std::move(answer);
+  return true;
 }
 
 }  // namespace
@@ -124,7 +192,6 @@ SolverService::SolverService(const Graph* graph,
     : graph_(graph), options_(options) {
   MCFS_CHECK(graph_ != nullptr) << "SolverService needs a graph";
   MCFS_CHECK_EQ(facility_nodes.size(), capacities.size());
-  if (options_.flight_recorder) obs::EnableFlightRecorder(true);
   effective_parallelism_ = std::max(
       1, std::min(options_.max_batch < 1 ? 1 : options_.max_batch,
                   ResolveThreadCount(options_.serve_threads)));
@@ -172,17 +239,8 @@ std::shared_ptr<const SolverService::WarmState> SolverService::BuildWarmState(
         << "catalog facility " << j << " has negative capacity";
   }
   // The O(V + E) component scan every cold ValidateInstance pays, done
-  // once per epoch, plus the per-component descending capacity lists
-  // the Theorem-3 accounting consumes.
+  // once per epoch.
   state->components = ConnectedComponents(*graph_);
-  state->component_caps_sorted.assign(state->components.num_components, {});
-  for (size_t j = 0; j < state->facility_nodes.size(); ++j) {
-    const int g = state->components.component_of[state->facility_nodes[j]];
-    state->component_caps_sorted[g].push_back(state->capacities[j]);
-  }
-  for (std::vector<int>& caps : state->component_caps_sorted) {
-    std::sort(caps.begin(), caps.end(), std::greater<int>());
-  }
   // Nearest catalog facility per node (DESIGN.md §4.14): one
   // multi-source Dijkstra per epoch buys the instant responder its
   // selection signal and the quality-bound denominator without any
@@ -536,7 +594,7 @@ SolveResponse SolverService::ResolveTracked(int k, int64_t deadline_ms,
   response.epoch = warm->epoch;
   response.trace_id = trace_id;
   const McfsInstance instance = TrackedInstanceLocked(*warm, k);
-  if (!ValidatePrelude(*warm, instance, {}, &response)) {
+  if (!ValidatePrelude(*warm, instance, &response)) {
     // Invalid or infeasible for this k: report the canonical diagnosis
     // and keep the seed — a later delta can restore validity. An empty
     // population leaves nothing to resume from next time.
@@ -588,18 +646,20 @@ SolveResponse SolverService::ResolveTracked(int k, int64_t deadline_ms,
     // whatever options_.verify says. A bad verdict falls back to cold.
     const VerifyReport verdict = VerifySolution(instance, result.solution);
     response.verify_ran = true;
-    bool verify_ok = verdict.ok;
-    if (verify_ok && options_.inject_verify_failures > 0) {
-      // Fault injection (tests/CI): treat this verdict as a rejection so
-      // the whole failure path — postmortem capture + cold fallback —
-      // runs deterministically. The response stays correct.
-      options_.inject_verify_failures--;
-      MCFS_RECORD("resolve/inject_verify_failure",
-                  static_cast<int64_t>(trace_id), 0);
-      verify_ok = false;
+    if (options_.fault_plan != nullptr &&
+        options_.fault_plan->ShouldFire(FaultKind::kVerifyReject)) {
+      // Read the verdict as a rejection so the whole failure path —
+      // postmortem capture + cold fallback — runs deterministically. The
+      // response stays correct.
+      MCFS_RECORD("serve/fault_verify_reject", static_cast<int64_t>(trace_id),
+                  0);
+      std::lock_guard<std::mutex> lock(report_mutex_);
+      stats_.faults_injected++;
+      response.verify_ok = false;
+    } else {
+      response.verify_ok = verdict.ok;
     }
-    response.verify_ok = verify_ok;
-    if (!verify_ok) {
+    if (!response.verify_ok) {
       MCFS_COUNT("resolve/verify_rejections", 1);
       {
         std::lock_guard<std::mutex> lock(report_mutex_);
@@ -746,13 +806,38 @@ Status SolverService::RestoreFrom(const std::string& path) {
                           " (facility " + std::to_string(j) + ")"));
     }
   }
-  for (const NodeId node : checkpoint.tracked_customers) {
-    if (node < 0 || node >= num_nodes) {
-      return fail(IoError("checkpoint does not match the service graph: "
-                          "tracked customer node " +
-                          std::to_string(node) + " out of range [0, " +
-                          std::to_string(num_nodes) + ")"));
+  // Node ids from the file index the live graph (ResolveTracked reads
+  // component_of[] with the seed's customer nodes).
+  std::string out_of_range;
+  const auto check_node = [&](const char* what, NodeId node) {
+    if (out_of_range.empty() && (node < 0 || node >= num_nodes)) {
+      out_of_range = std::string(what) + " node " + std::to_string(node) +
+                     " out of range [0, " + std::to_string(num_nodes) + ")";
     }
+  };
+  for (const NodeId node : checkpoint.tracked_customers) {
+    check_node("tracked customer", node);
+  }
+  if (checkpoint.has_seed) {
+    for (const WarmSeed* seed :
+         {&checkpoint.seed.trajectory, &checkpoint.seed.final_assign}) {
+      for (const WarmSeedCustomer& customer : seed->customers) {
+        check_node("seed customer", customer.node);
+        for (const WarmSeedEdge& edge : customer.edges) {
+          check_node("seed edge facility", edge.facility_node);
+        }
+        for (const WarmSeedEdge& edge : customer.buffered) {
+          check_node("seed edge facility", edge.facility_node);
+        }
+      }
+      for (const NodeId node : seed->facility_nodes) {
+        check_node("seed facility", node);
+      }
+    }
+  }
+  if (!out_of_range.empty()) {
+    return fail(IoError("checkpoint does not match the service graph: " +
+                        out_of_range));
   }
   // Commit: republish the warm state at the checkpointed epoch (epoch
   // continuity across restart), adopt population + seed, clear the
@@ -989,62 +1074,6 @@ void SolverService::DispatcherLoop() {
   }
 }
 
-bool SolverService::WarmValidate(const WarmState& warm,
-                                 const McfsInstance& instance,
-                                 const std::vector<int>& subset) const {
-  // Mirror of DiagnoseInstance's verdict against the cached epoch
-  // preprocessing, request-sized work only: O(m + |subset| log + C)
-  // instead of the cold O(V + E) component scan. Kept in lockstep with
-  // core/validate.cc — any defect found here is re-derived on the cold
-  // path so the Status message stays byte-identical.
-  if (instance.k < 0) return false;
-  const int num_nodes = graph_->NumNodes();
-  for (const NodeId c : instance.customers) {
-    if (c < 0 || c >= num_nodes) return false;
-  }
-  // Catalog nodes are distinct and in range by construction; a subset
-  // only introduces defects by repeating an index (duplicate node).
-  if (!subset.empty()) {
-    std::vector<int> seen;
-    seen.reserve(subset.size());
-    for (const int idx : subset) {
-      if (std::find(seen.begin(), seen.end(), idx) != seen.end()) return false;
-      seen.push_back(idx);
-    }
-  }
-  // Theorem-3 accounting per component holding customers.
-  const ComponentLabeling& components = warm.components;
-  std::vector<int64_t> customers_in(components.num_components, 0);
-  for (const NodeId c : instance.customers) {
-    customers_in[components.component_of[c]]++;
-  }
-  std::vector<std::vector<int>> subset_caps;
-  if (!subset.empty()) {
-    subset_caps.assign(components.num_components, {});
-    for (const int idx : subset) {
-      const int g = components.component_of[warm.facility_nodes[idx]];
-      subset_caps[g].push_back(warm.capacities[idx]);
-    }
-    for (std::vector<int>& caps : subset_caps) {
-      std::sort(caps.begin(), caps.end(), std::greater<int>());
-    }
-  }
-  int64_t required_facilities = 0;
-  for (int g = 0; g < components.num_components; ++g) {
-    if (customers_in[g] == 0) continue;
-    const std::vector<int>& caps =
-        subset.empty() ? warm.component_caps_sorted[g] : subset_caps[g];
-    int64_t remaining = customers_in[g];
-    for (const int c : caps) {
-      if (remaining <= 0) break;
-      remaining -= c;
-      ++required_facilities;
-    }
-    if (remaining > 0) return false;
-  }
-  return required_facilities <= instance.k;
-}
-
 SolverService::RequestView SolverService::ViewOf(
     const SolveRequest& request) const {
   RequestView view;
@@ -1095,20 +1124,14 @@ SolverService::RequestView SolverService::ViewOf(
 
 bool SolverService::ValidatePrelude(const WarmState& warm,
                                     const McfsInstance& instance,
-                                    const std::vector<int>& subset,
                                     SolveResponse* response) const {
   WallTimer preprocess_timer;
-  const bool valid = WarmValidate(warm, instance, subset);
-  if (!valid) {
-    // The warm verdict says SolveWma would reject; re-derive the
-    // canonical diagnosis on the cold path so the message matches the
-    // direct call byte for byte.
-    response->status = ValidateInstance(instance);
-    MCFS_CHECK(!response->status.ok())
-        << "warm validation rejected an instance the cold path accepts";
-  }
+  // SolveWma's own validation over the epoch's component labeling: the
+  // same function, so the same verdict and Status bytes, without the
+  // O(V + E) component scan.
+  response->status = DiagnoseInstance(instance, &warm.components).status;
   response->preprocess_seconds = preprocess_timer.Seconds();
-  if (!valid) return false;
+  if (!response->status.ok()) return false;
   if (instance.m() == 0) {
     // SolveWma's trivial shortcut, replicated exactly.
     response->solution.feasible = true;
@@ -1233,7 +1256,7 @@ void SolverService::Execute(PendingRequest& pending) {
       (view.cacheable &&
        LookupCache(view, std::unique_lock<std::mutex>(cache_mutex_),
                    &response)) ||
-      !ValidatePrelude(warm, instance, request.facility_subset, &response)) {
+      !ValidatePrelude(warm, instance, &response)) {
     FinishRequest(pending, std::move(response));
     return;
   }
@@ -1320,65 +1343,34 @@ void SolverService::Execute(PendingRequest& pending) {
   FinishRequest(pending, std::move(response));
 }
 
-McfsSolution SolverService::DegradedFallback(const McfsInstance& instance,
-                                             MatcherBackendKind matcher) const {
-  MCFS_SPAN("serve/degraded_fallback");
-  if (instance.graph->has_coordinates()) {
-    return RunHilbertBaseline(instance, matcher);
-  }
-  GreedyKMedianOptions greedy;
-  greedy.matcher = matcher;
-  return RunGreedyKMedian(instance, greedy);
-}
-
-double SolverService::NearestFacilityQualityBound(
-    const McfsInstance& instance, double objective,
-    const MultiSourceResult* nearest) const {
-  // Lower bound on any solution's objective: every customer served by
-  // its nearest instance facility, with capacities and the budget k
-  // relaxed away. Full-catalog callers pass the epoch's precomputed
-  // multi-source result; subset callers pay one MultiSourceDijkstra.
-  MultiSourceResult computed;
-  if (nearest == nullptr) {
-    computed = MultiSourceDijkstra(*instance.graph, instance.facility_nodes);
-    nearest = &computed;
-  }
-  double lower = 0.0;
-  for (const NodeId c : instance.customers) {
-    const double d = nearest->distance[c];
-    if (std::isfinite(d)) lower += d;
-  }
-  if (objective <= lower) return 1.0;
-  // Degenerate: every customer co-located with a facility makes the
-  // relaxed bound 0 while capacity overflow can still force a positive
-  // objective. objective / 0 would be inf (JSON nulls it, comparisons
-  // and SLO accounting misread it) — report the defined sentinel
-  // instead, distinguishable from both real bounds (>= 1) and "no
-  // bound computed" (0).
-  if (lower <= 0.0) return kDegenerateQualityBound;
-  return objective / lower;
-}
-
 void SolverService::DegradeResponse(const RequestView& view, bool rejected,
                                     SolveResponse* response) {
   MCFS_SPAN("serve/degrade");
   const McfsInstance& instance = view.instance;
   const uint64_t epoch_at = view.warm->epoch;
+  // Full-catalog requests reuse the epoch's nearest-facility pass; a
+  // subset pays one multi-source Dijkstra over its slice, which serves
+  // both the rung-2 slate and the bound.
+  MultiSourceResult subset_nearest;
+  if (!view.key.facility_subset.empty()) {
+    subset_nearest = MultiSourceDijkstra(*graph_, instance.facility_nodes);
+  }
+  const MultiSourceResult& nearest = view.key.facility_subset.empty()
+                                         ? view.warm->nearest_facility
+                                         : subset_nearest;
   // Rung 1: the anytime best-so-far answer, which the caller already
   // ran through the independent verifier — unless that verdict (or an
   // injected rejection) marked it untrusted wholesale.
   bool synthesized = false;
   if (rejected || !response->solution.feasible) {
-    // Rung 2: synthesize a fresh feasible answer from the baseline and
-    // verify it from first principles. Degraded answers never serve
-    // unchecked.
+    // Rung 2: the cheap-answer step, verified before it serves.
     WallTimer fallback_timer;
-    McfsSolution fallback = DegradedFallback(instance, view.matcher);
+    McfsSolution fallback;
+    const bool answered =
+        CheapAnswer(instance, nearest, &fallback, &response->quality_bound);
     response->solve_seconds += fallback_timer.Seconds();
-    const VerifyReport verdict = VerifySolution(instance, fallback);
-    if (!fallback.feasible || !verdict.ok) {
-      // Ladder exhausted: fail closed with a typed status. A validated
-      // feasible instance should never land here.
+    if (!answered) {
+      // Ladder exhausted: fail closed with a typed status.
       response->status =
           UnavailableError("degraded fallback failed verification");
       response->verify_ran = true;
@@ -1391,15 +1383,13 @@ void SolverService::DegradeResponse(const RequestView& view, bool rejected,
     fallback.termination = response->solution.termination;
     response->solution = std::move(fallback);
     synthesized = true;
+  } else {
+    response->quality_bound = NearestFacilityQualityBound(
+        instance, response->solution.objective, nearest);
   }
   response->tier = "degraded";
   response->verify_ran = true;
   response->verify_ok = true;
-  // Full-catalog requests reuse the epoch's nearest-facility pass.
-  response->quality_bound = NearestFacilityQualityBound(
-      instance, response->solution.objective,
-      view.key.facility_subset.empty() ? &view.warm->nearest_facility
-                                       : nullptr);
   RecordPostmortem(
       rejected ? "degraded_verify_rejection" : "degraded_deadline",
       response->trace_id, epoch_at);
@@ -1462,57 +1452,24 @@ bool SolverService::FastServe(PendingRequest& pending) {
        LookupCache(view,
                    std::unique_lock<std::mutex>(cache_mutex_, std::try_to_lock),
                    &response)) ||
-      !ValidatePrelude(warm, instance, request.facility_subset, &response)) {
+      !ValidatePrelude(warm, instance, &response)) {
     FinishRequest(pending, std::move(response));
     return true;
   }
 
-  // Selection: demand-ranked top-k over the precomputed nearest map —
-  // each facility is scored by how many request customers it is nearest
-  // to (ties by catalog index, deterministic) — then component-coverage
-  // repair and the bounded-work greedy matcher.
+  // The cheap-answer step over the epoch's nearest map. A fast answer
+  // that cannot be proven feasible is not served fast, it is solved for
+  // real.
   WallTimer solve_timer;
-  const int catalog = static_cast<int>(instance.l());
-  const int budget = std::min(request.k, catalog);
-  std::vector<int64_t> demand(catalog, 0);
-  for (const NodeId c : instance.customers) {
-    const int f = warm.nearest_facility.nearest_index[c];
-    if (f >= 0) demand[f]++;
-  }
-  std::vector<int> order(catalog);
-  for (int j = 0; j < catalog; ++j) order[j] = j;
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    if (demand[a] != demand[b]) return demand[a] > demand[b];
-    return a < b;
-  });
-  std::vector<int> selected(order.begin(), order.begin() + budget);
-  if (!CoverComponents(instance, selected)) return fall_through();
-  const FastMatchResult match =
-      FastGreedyMatch(*graph_, instance.customers, instance.facility_nodes,
-                      instance.capacities, selected);
-  if (!match.all_assigned) return fall_through();
   McfsSolution solution;
-  solution.selected = std::move(selected);
-  solution.assignment = match.assignment;
-  solution.distances = match.distances;
-  solution.objective = match.total_cost;
-  solution.feasible = true;
-  solution.termination = Termination::kConverged;
-  // Always verified from first principles — a fast answer that cannot
-  // be proven feasible is not served fast, it is solved for real. The
-  // targeted strategy keeps the check sub-millisecond: per-customer
-  // early-exit searches instead of one full Dijkstra per facility.
-  VerifyOptions fast_verify;
-  fast_verify.targeted = true;
-  if (!VerifySolution(instance, solution, fast_verify).ok) {
+  if (!CheapAnswer(instance, warm.nearest_facility, &solution,
+                   &response.quality_bound)) {
     return fall_through();
   }
   response.solve_seconds = solve_timer.Seconds();
   response.verify_ran = true;
   response.verify_ok = true;
   response.tier = "fast";
-  response.quality_bound = NearestFacilityQualityBound(
-      instance, solution.objective, &warm.nearest_facility);
   response.solution = std::move(solution);
 
   // Plant the cache entry at tier "fast" together with its background

@@ -25,8 +25,8 @@ namespace mcfs {
 
 // Long-lived warm-state solver service (DESIGN.md §4.9). Loads one road
 // network and one candidate-facility catalog, builds the shared
-// read-only preprocessing a single time (connected components with
-// per-component capacity accounting, the node -> candidate map), and
+// read-only preprocessing a single time (connected components, the
+// node -> candidate map, each node's nearest candidate), and
 // then admits many solve requests — each with its own customers, k,
 // optional candidate subset, and per-request deadline/cancellation —
 // through a bounded admission queue. A dispatcher thread drains the
@@ -41,12 +41,12 @@ namespace mcfs {
 // request alone to an anytime solution; other requests in the same
 // batch are unaffected.
 //
-// Catalog updates (capacities / candidate set — the core/dynamic
-// scenario) bump an epoch and atomically publish a freshly built warm
-// state; in-flight requests keep the snapshot they admitted under, so a
-// request always sees a fully pre- or fully post-update catalog, never
-// a torn mix. The epoch also stamps (and on change invalidates) the
-// solve cache that short-circuits repeated identical requests.
+// Catalog updates (capacities / candidate set) bump an epoch and
+// atomically publish a freshly built warm state; in-flight requests
+// keep the snapshot they admitted under, so a request always sees a
+// fully pre- or fully post-update catalog, never a torn mix. The epoch
+// also stamps (and on change invalidates) the solve cache that
+// short-circuits repeated identical requests.
 
 // One latency SLO tier (DESIGN.md §4.11): requests naming `tier` are
 // held to `target_latency_ms` end to end, with `error_budget` the
@@ -90,28 +90,19 @@ struct ServiceOptions {
   // with an empty tier land on "default"; a request naming an
   // unconfigured tier is counted nowhere (no implicit tiers).
   std::vector<SloPolicy> slos;
-  // Turn the process-wide flight recorder on at construction (same as
-  // MCFS_FLIGHT_RECORDER=1). Postmortems still work when this is off —
-  // they just dump empty event lists.
-  bool flight_recorder = false;
   // When nonempty, every captured postmortem is also written to this
   // path (overwriting; the file always holds the most recent one).
   std::string postmortem_path;
   // Events included in a postmortem dump (most recent, across threads).
   int postmortem_events = 128;
-  // Fault injection for tests/CI: force this many warm ResolveTracked
-  // verifier verdicts to read as rejections. Each injection exercises
-  // the full rejection path — postmortem capture + cold fallback — so
-  // the response stays correct while the failure machinery is driven
-  // deterministically.
-  int inject_verify_failures = 0;
 
   // --- Fault-tolerant serving (DESIGN.md §4.13) ---
   // Seeded deterministic fault schedule (common/fault_plan.h), polled
   // at the failure-injection sites: pre-solve (deadline cut), post-
-  // solve (verifier rejection), admission (queue-overflow pulse), and
-  // checkpoint write (IO error). Shared so the chaos harness can read
-  // fire counts after the run. Null = no injection (zero overhead).
+  // solve and warm ResolveTracked verdicts (verifier rejection),
+  // admission (queue-overflow pulse), and checkpoint write (IO error).
+  // Shared so the chaos harness can read fire counts after the run.
+  // Null = no injection (zero overhead).
   std::shared_ptr<FaultPlan> fault_plan;
   // Seeds the queue-delay estimator (overload control) before the first
   // completion: expected per-request service time in ms. 0 = the
@@ -204,8 +195,9 @@ struct SolveRequest {
   std::string tier;
   // Opt into degraded-mode answers (DESIGN.md §4.13): when this solve
   // deadline-cuts or the verifier rejects it, the service walks the
-  // degradation ladder — anytime answer if it verifies, else a
-  // synthesized Hilbert/greedy baseline fallback — and responds with
+  // degradation ladder — anytime answer if it verifies, else the fast
+  // tier's cheap-answer step (demand-ranked slate + bounded greedy
+  // matching, targeted-verified) — and responds with
   // SolveResponse::tier == "degraded" plus a quality bound instead of
   // surfacing the failure. Degraded answers are always verifier-checked
   // and never cached. Off = the pre-existing fail-closed behavior.
@@ -387,9 +379,9 @@ class SolverService {
   // Convenience: Submit + Wait.
   SolveResponse SolveSync(SolveRequest request);
 
-  // Catalog updates (the core/dynamic scenario): bump the epoch,
-  // rebuild the warm state, invalidate the solve cache. In-flight
-  // requests finish under the snapshot they started with. A no-op
+  // Whole-catalog updates: bump the epoch, rebuild the warm state,
+  // invalidate the solve cache. In-flight requests finish under the
+  // snapshot they started with. A no-op
   // update (new state identical to the current one) keeps the epoch and
   // the response cache. Structural defects (size mismatch, negative
   // capacity, out-of-range or duplicate facility node) are rejected
@@ -500,9 +492,6 @@ class SolverService {
     // the whole node array for, computed once here.
     std::vector<int> facility_index_of_node;
     ComponentLabeling components;
-    // Catalog capacities per component, sorted descending — the
-    // Theorem-3 accounting input, precomputed for full-catalog requests.
-    std::vector<std::vector<int>> component_caps_sorted;
     // Nearest catalog facility per node (one multi-source Dijkstra per
     // epoch; DESIGN.md §4.14): the instant responder's selection signal
     // and the quality-bound denominator for full-catalog requests.
@@ -582,13 +571,12 @@ class SolverService {
   // The tracked population over the catalog of `warm`. Caller holds
   // resolve_mutex_.
   McfsInstance TrackedInstanceLocked(const WarmState& warm, int k) const;
-  // Step 2: WarmValidate, the cold ValidateInstance re-derivation of a
-  // rejection (byte-identical message), and SolveWma's m() == 0
+  // Step 2: DiagnoseInstance over the epoch's component labeling
+  // (SolveWma's verdict and Status bytes) and SolveWma's m() == 0
   // shortcut. True when the instance goes on to a solve; false when
   // `response` already holds the answer (error status or trivial
   // solution). Times the step into preprocess_seconds.
   bool ValidatePrelude(const WarmState& warm, const McfsInstance& instance,
-                       const std::vector<int>& subset,
                        SolveResponse* response) const;
   // The per-solve WmaOptions copy. options_.wma.deadline is copied
   // through deliberately (each copy has its own poll budget) — that is
@@ -624,32 +612,20 @@ class SolverService {
   void FinishRequest(PendingRequest& pending, SolveResponse response);
   // Walks the degradation ladder (DESIGN.md §4.13) for an allow_degraded
   // request whose solve deadline-cut or verify-rejected: serve the
-  // anytime answer if the independent verifier blesses it, else
-  // synthesize a baseline fallback — always re-verified, never cached,
+  // anytime answer if the independent verifier blesses it, else the
+  // cheap-answer step the fast tier serves — verified, never cached,
   // postmortem recorded. `rejected` marks the candidate untrusted.
   void DegradeResponse(const RequestView& view, bool rejected,
                        SolveResponse* response);
-  // Feasible fallback answer against the instance: Hilbert sweep when
-  // the graph has coordinates, greedy k-median otherwise.
-  McfsSolution DegradedFallback(const McfsInstance& instance,
-                                MatcherBackendKind matcher) const;
-  // objective / (capacity- and budget-relaxed nearest-facility lower
-  // bound), shared by the degraded and fast tiers;
-  // kDegenerateQualityBound when the lower bound is 0 with a positive
-  // objective. `nearest` skips the MultiSourceDijkstra when the caller
-  // holds the epoch's precomputed full-catalog result (null = compute
-  // against instance.facility_nodes).
-  double NearestFacilityQualityBound(const McfsInstance& instance,
-                                     double objective,
-                                     const MultiSourceResult* nearest) const;
   // The instant responder (DESIGN.md §4.14): serves `pending` inline on
-  // the submitting thread — cache lookup, greedy selection over the
-  // nearest-facility distances, bounded-work FastGreedyMatch,
-  // first-principles verification, quality bound — and completes the
-  // handle as tier == "fast". Returns false when the fast attempt could
-  // not produce a verified feasible answer (the caller enqueues the
-  // request for the normal full solve) and true when the handle was
-  // completed (fast answer, cache hit, or a definitive error).
+  // the submitting thread — cache lookup, then the cheap-answer step
+  // (greedy selection over the epoch's nearest-facility distances,
+  // bounded-work FastGreedyMatch, targeted verification, quality
+  // bound) — and completes the handle as tier == "fast". Returns false
+  // when the fast attempt could not produce a verified feasible answer
+  // (the caller enqueues the request for the normal full solve) and
+  // true when the handle was completed (fast answer, cache hit, or a
+  // definitive error).
   bool FastServe(PendingRequest& pending);
   // Background refinement worker: full WMA re-solves of fast-answered
   // requests, upgrading their cache entries in place.
@@ -663,12 +639,6 @@ class SolverService {
   // postmortem. `reason` must outlive the call (string literal).
   void RecordPostmortem(const char* reason, uint64_t trace_id,
                         uint64_t epoch_at);
-  // Warm-path replica of ValidateInstance's verdict (structural checks
-  // + Theorem-3 accounting against the cached components). Returns true
-  // when SolveWma would accept; on false the caller re-derives the
-  // canonical Status on the cold path.
-  bool WarmValidate(const WarmState& warm, const McfsInstance& instance,
-                    const std::vector<int>& subset) const;
 
   // Warm-resolve state (DESIGN.md §4.10): the previous ResolveTracked's
   // exported seed plus per-component dirty bits accumulated by updates

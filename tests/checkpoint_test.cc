@@ -11,9 +11,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mcfs/common/fault_plan.h"
@@ -166,6 +168,61 @@ TEST(CheckpointFormat, EveryDefectIsTypedIoError) {
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
   }
+
+  // Corrupted counts, read before the checksum is: each must end as a
+  // typed error, never as an allocation of the declared size.
+  const std::string huge = "99999999999999";
+  const auto replace_field = [&](const std::string& prefix, int field) {
+    std::string corrupt = good;
+    const size_t line = corrupt.find(prefix);
+    EXPECT_NE(line, std::string::npos) << prefix;
+    size_t begin = line;
+    for (int f = 0; f < field; ++f) begin = corrupt.find(' ', begin) + 1;
+    const size_t end = corrupt.find_first_of(" \n", begin);
+    return corrupt.replace(begin, end - begin, huge);
+  };
+  for (const auto& [prefix, field] :
+       std::vector<std::pair<std::string, int>>{{"catalog ", 1},
+                                                {"tracked ", 1},
+                                                {"warmseed ", 1},
+                                                {"warmseed ", 2},
+                                                {"cust ", 3},
+                                                {"cust ", 4}}) {
+    SCOPED_TRACE(prefix + "field " + std::to_string(field));
+    WriteFile(mutated, replace_field(prefix, field));
+    const StatusOr<ServiceCheckpoint> loaded = ReadServiceCheckpoint(mutated);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+  }
+
+  // Seed node ids outside the service graph: a checksum-valid file that
+  // restore must reject before ResolveTracked indexes with them.
+  const NodeId outside = static_cast<NodeId>(fx.graph.NumNodes() + 3);
+  const uint64_t epoch_before = service->epoch();
+  const auto mutations =
+      std::vector<std::function<void(WarmSeed&)>>{
+          [&](WarmSeed& seed) { seed.customers.front().node = outside; },
+          [&](WarmSeed& seed) {
+            seed.customers.front().edges.front().facility_node = outside;
+          },
+          [&](WarmSeed& seed) { seed.facility_nodes.front() = outside; }};
+  for (size_t i = 0; i < mutations.size(); ++i) {
+    SCOPED_TRACE("seed node mutation " + std::to_string(i));
+    ServiceCheckpoint checkpoint = ReadServiceCheckpoint(path).value();
+    ASSERT_TRUE(checkpoint.has_seed);
+    ASSERT_FALSE(checkpoint.seed.trajectory.customers.empty());
+    ASSERT_FALSE(checkpoint.seed.trajectory.customers.front().edges.empty());
+    mutations[i](checkpoint.seed.trajectory);
+    ASSERT_TRUE(WriteServiceCheckpoint(checkpoint, mutated).ok());
+    const Status restored = service->RestoreFrom(mutated);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.code(), StatusCode::kIoError);
+    EXPECT_NE(restored.message().find("does not match the service graph"),
+              std::string::npos)
+        << restored.message();
+    EXPECT_EQ(service->epoch(), epoch_before);
+  }
+  EXPECT_TRUE(service->ResolveTracked(6).status.ok());
 }
 
 TEST(CheckpointService, RestoreContinuesTheEpochWithByteIdenticalAnswers) {

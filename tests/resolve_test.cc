@@ -587,5 +587,87 @@ TEST(ResolveEquivalence, ChurnChainSeedAndCountersIgnoreThreadCount) {
   EXPECT_EQ(parallel.checkpoint, serial.checkpoint);
 }
 
+// --- Tracked population contracts ---
+//
+// Co-located customers admit equal-cost optima, so objectives are
+// compared with a relative tolerance here (see the file comment).
+
+TEST(ResolveTrackedPopulation, CoLocatedArrivalsAndOneDeparture) {
+  Rng rng(1);
+  const Graph graph = testing_util::RandomGraph(50, 30, rng);
+  ServiceOptions options;
+  options.verify = true;
+  SolverService service(&graph, {1, 10, 20, 30}, {5, 5, 5, 5}, options);
+  const int k = 2;
+
+  UpdateRequest arrive;
+  for (const NodeId node : {3, 7, 7, 7, 11}) {
+    arrive.ops.push_back({UpdateKind::kCustomerArrive, node, 0});
+  }
+  ASSERT_TRUE(service.ApplyUpdate(arrive).ok());
+  EXPECT_EQ(service.tracked_customer_count(), 5u);
+  const SolveResponse first = service.ResolveTracked(k);
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  EXPECT_TRUE(first.solution.feasible);
+  EXPECT_TRUE(first.verify_ok);
+  EXPECT_EQ(first.solution.assignment.size(), 5u);
+
+  UpdateRequest depart;
+  depart.ops.push_back({UpdateKind::kCustomerDepart, 7, 0});
+  ASSERT_TRUE(service.ApplyUpdate(depart).ok());
+  EXPECT_EQ(service.tracked_customer_count(), 4u);
+  const McfsInstance tracked = service.TrackedInstance(k);
+  EXPECT_EQ(std::count(tracked.customers.begin(), tracked.customers.end(), 7),
+            2);
+
+  const SolveResponse second = service.ResolveTracked(k);
+  ASSERT_TRUE(second.status.ok()) << second.status.ToString();
+  EXPECT_TRUE(second.warm_attempted);
+  EXPECT_TRUE(second.solution.feasible);
+  EXPECT_TRUE(second.verify_ok);
+  EXPECT_EQ(second.solution.assignment.size(), 4u);
+  const StatusOr<WmaResult> cold = SolveWma(tracked);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_NEAR(second.solution.objective, cold.value().solution.objective,
+              1e-9 * (1.0 + cold.value().solution.objective));
+}
+
+TEST(ResolveTrackedPopulation, CapacityPressureForcesReselection) {
+  // Path 0 - 1 - ... - 9 with unit edges; facilities of capacity 1 on
+  // nodes 1, 4 and 7. One customer needs one facility; three customers
+  // need all three.
+  GraphBuilder builder(10);
+  for (int v = 0; v + 1 < 10; ++v) builder.AddEdge(v, v + 1, 1.0);
+  const Graph graph = builder.Build();
+  ServiceOptions options;
+  options.verify = true;
+  SolverService service(&graph, {1, 4, 7}, {1, 1, 1}, options);
+  const int k = 3;
+
+  UpdateRequest first_arrival;
+  first_arrival.ops.push_back({UpdateKind::kCustomerArrive, 0, 0});
+  ASSERT_TRUE(service.ApplyUpdate(first_arrival).ok());
+  const SolveResponse first = service.ResolveTracked(k);
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  EXPECT_TRUE(first.solution.feasible);
+  EXPECT_EQ(first.solution.assignment, std::vector<int>({0}));
+  EXPECT_EQ(first.solution.objective, 1.0);
+
+  UpdateRequest more;
+  more.ops.push_back({UpdateKind::kCustomerArrive, 5, 0});
+  more.ops.push_back({UpdateKind::kCustomerArrive, 9, 0});
+  ASSERT_TRUE(service.ApplyUpdate(more).ok());
+  const SolveResponse second = service.ResolveTracked(k);
+  ASSERT_TRUE(second.status.ok()) << second.status.ToString();
+  EXPECT_TRUE(second.warm_attempted);
+  EXPECT_TRUE(second.solution.feasible);
+  EXPECT_TRUE(second.verify_ok);
+  std::vector<int> selected = second.solution.selected;
+  std::sort(selected.begin(), selected.end());
+  EXPECT_EQ(selected, std::vector<int>({0, 1, 2}));
+  EXPECT_EQ(second.solution.assignment, std::vector<int>({0, 1, 2}));
+  EXPECT_EQ(second.solution.objective, 4.0);
+}
+
 }  // namespace
 }  // namespace mcfs

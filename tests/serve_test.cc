@@ -437,8 +437,9 @@ TEST(ServeTest, EverySpanCarriesItsRequestsTraceIdAcrossServeThreads) {
 TEST(ServeTest, InjectedVerifyRejectionDumpsPostmortemAndFallsBackCold) {
   ServeFixture fx(32);
   ServiceOptions options;
-  options.flight_recorder = true;
-  options.inject_verify_failures = 1;
+  obs::EnableFlightRecorder(true);
+  options.fault_plan = std::make_shared<FaultPlan>(
+      FaultPlan::Parse("verify_reject=1,verify_reject_max=1").value());
   auto service = fx.MakeService(options);
 
   UpdateRequest arrivals;
@@ -500,7 +501,7 @@ TEST(ServeTest, InjectedVerifyRejectionDumpsPostmortemAndFallsBackCold) {
 TEST(ServeTest, DeadlineExceededWarmSolveDumpsPostmortem) {
   ServeFixture fx(33);
   ServiceOptions options;
-  options.flight_recorder = true;
+  obs::EnableFlightRecorder(true);
   // Poll #1 (iteration-loop top) passes, poll #2 (the augmentation
   // boundary inside matching) expires — deterministically landing the
   // cut where "wma/deadline_hit" is recorded. Each served solve gets

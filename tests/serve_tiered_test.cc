@@ -11,10 +11,12 @@
 
 #include <atomic>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "mcfs/common/fault_plan.h"
 #include "mcfs/core/verifier.h"
 #include "mcfs/core/wma.h"
 #include "mcfs/graph/graph.h"
@@ -360,6 +362,84 @@ TEST(ServeTiered, CoLocatedOverflowYieldsDegenerateBoundSentinel) {
   EXPECT_GT(response.solution.objective, 0.0);
   EXPECT_EQ(response.quality_bound, kDegenerateQualityBound);
   service.DrainRefinements();
+}
+
+// Rung 2 of the degradation ladder is the fast tier's cheap-answer
+// step: a forced verifier rejection on an allow_degraded request serves
+// a targeted- and full-verifier-clean answer whose bytes equal the fast
+// tier's answer to the same request.
+FaultPlanSpec OneVerifyRejection() {
+  FaultPlanSpec spec;
+  spec.rate[static_cast<int>(FaultKind::kVerifyReject)] = 1.0;
+  spec.max_fires[static_cast<int>(FaultKind::kVerifyReject)] = 1;
+  return spec;
+}
+
+void ExpectVerifiedDegraded(const McfsInstance& instance,
+                            const SolveResponse& response) {
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  EXPECT_EQ(response.tier, "degraded");
+  EXPECT_TRUE(response.verify_ran);
+  EXPECT_TRUE(response.verify_ok);
+  EXPECT_TRUE(response.solution.feasible);
+  EXPECT_TRUE(response.quality_bound >= 1.0 ||
+              response.quality_bound == kDegenerateQualityBound)
+      << response.quality_bound;
+  VerifyOptions targeted;
+  targeted.targeted = true;
+  EXPECT_TRUE(VerifySolution(instance, response.solution, targeted).ok);
+  EXPECT_TRUE(VerifySolution(instance, response.solution).ok);
+}
+
+TEST(ServeTiered, ForcedRejectionServesTheFastTierAnswerAsDegraded) {
+  ServeFixture fx(29);
+  ServiceOptions options = SlowEstimateOptions();
+  options.fault_plan = std::make_shared<FaultPlan>(OneVerifyRejection());
+  auto service = fx.MakeService(options);
+
+  SolveRequest fast_request = SlaRequest(fx);
+  fast_request.refine = false;
+  const SolveResponse fast = service->SolveSync(fast_request);
+  ASSERT_TRUE(fast.status.ok()) << fast.status.ToString();
+  ASSERT_EQ(fast.tier, "fast");
+
+  SolveRequest request;
+  request.customers = fast_request.customers;
+  request.k = fast_request.k;
+  request.allow_degraded = true;
+  const SolveResponse degraded = service->SolveSync(request);
+  ExpectVerifiedDegraded(fx.RequestInstance(request), degraded);
+  EXPECT_EQ(degraded.solution.selected, fast.solution.selected);
+  EXPECT_EQ(degraded.solution.assignment, fast.solution.assignment);
+  EXPECT_EQ(degraded.quality_bound, fast.quality_bound);
+
+  const ServiceReport report = service->Report();
+  EXPECT_EQ(report.degraded_responses, 1);
+  EXPECT_EQ(report.degraded_fallbacks, 1);
+  EXPECT_EQ(report.faults_injected, 1);
+}
+
+TEST(ServeTiered, ForcedRejectionOnSubsetServesVerifiedCheapAnswer) {
+  ServeFixture fx(30);
+  ServiceOptions options;
+  options.fault_plan = std::make_shared<FaultPlan>(OneVerifyRejection());
+  auto service = fx.MakeService(options);
+
+  SolveRequest request;
+  request.customers = fx.catalog().customers;
+  request.k = fx.catalog().k;
+  for (int j = 0; j < fx.catalog().l(); j += 2) {
+    request.facility_subset.push_back(j);
+  }
+  request.allow_degraded = true;
+  const McfsInstance instance = fx.RequestInstance(request);
+  ASSERT_TRUE(SolveWma(instance).ok());
+  const SolveResponse degraded = service->SolveSync(request);
+  ExpectVerifiedDegraded(instance, degraded);
+  for (const int j : degraded.solution.selected) {
+    EXPECT_TRUE(j >= 0 && j < instance.l()) << j;
+  }
+  EXPECT_EQ(service->Report().degraded_fallbacks, 1);
 }
 
 // Satellite regression: clients key "stop retrying" on the shutdown

@@ -1,7 +1,8 @@
 // Preflight validation: structural defects yield kInvalidInput with the
 // full problem list, unsolvable instances yield kInfeasible with
 // per-component capacity accounting, and the verdict agrees with
-// IsFeasible on structurally valid instances.
+// IsFeasible on structurally valid instances and with itself over a
+// caller-held component labeling.
 
 #include <gtest/gtest.h>
 
@@ -141,6 +142,19 @@ TEST(ValidateTest, AgreesWithIsFeasibleOnRandomInstances) {
     const Status status = ValidateInstance(ri.instance);
     EXPECT_NE(status.code(), StatusCode::kInvalidInput);
     EXPECT_EQ(status.ok(), IsFeasible(ri.instance)) << status.ToString();
+    // A caller-held component labeling (the solver service's) yields the
+    // same diagnosis bytes, also for a catalog subset that repeats an
+    // index (a duplicate facility node).
+    const ComponentLabeling labels = ConnectedComponents(ri.graph);
+    EXPECT_EQ(DiagnoseInstance(ri.instance, &labels).ToString(),
+              DiagnoseInstance(ri.instance).ToString());
+    McfsInstance repeated = ri.instance;
+    const int j = trial % ri.instance.l();
+    repeated.facility_nodes.push_back(ri.instance.facility_nodes[j]);
+    repeated.capacities.push_back(ri.instance.capacities[j]);
+    const InstanceDiagnosis cold = DiagnoseInstance(repeated);
+    EXPECT_EQ(cold.status.code(), StatusCode::kInvalidInput);
+    EXPECT_EQ(DiagnoseInstance(repeated, &labels).ToString(), cold.ToString());
   }
 }
 
